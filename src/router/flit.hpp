@@ -23,13 +23,27 @@ struct Flit {
   MsgId msg = kInvalidMsg;
   FlitKind kind = FlitKind::Body;
 
+  // The kind encoding is a bit pair: bit 0 = header, bit 1 = tail.
   [[nodiscard]] bool isHeader() const noexcept {
-    return kind == FlitKind::Header || kind == FlitKind::HeaderTail;
+    return (static_cast<unsigned>(kind) & 1u) != 0;
   }
   [[nodiscard]] bool isTail() const noexcept {
-    return kind == FlitKind::Tail || kind == FlitKind::HeaderTail;
+    return (static_cast<unsigned>(kind) & 2u) != 0;
   }
 };
+
+/// RouterArena stores a flit as one 32-bit word, `msg << 2 | kind`, which
+/// leaves 30 bits for the message id. MessagePool refuses to hand out a
+/// larger id, so a packed slot can never alias another message.
+inline constexpr MsgId kMaxMsgId = (MsgId{1} << 30) - 1;
+
+[[nodiscard]] constexpr std::uint32_t packFlit(Flit f) noexcept {
+  assert(f.msg <= kMaxMsgId);
+  return (f.msg << 2) | static_cast<std::uint32_t>(f.kind);
+}
+[[nodiscard]] constexpr Flit unpackFlit(std::uint32_t word) noexcept {
+  return Flit{word >> 2, static_cast<FlitKind>(word & 3u)};
+}
 
 /// Fixed-capacity ring buffer of flits with per-flit arrival stamps.
 /// The stamp enforces the 1 cycle/hop timing: a flit that arrived in cycle t

@@ -15,6 +15,7 @@ namespace swft {
 class MessagePool {
  public:
   /// Allocate a slot; returns its id. The slot content is value-initialised.
+  /// Throws std::length_error rather than hand out an id above kMaxMsgId.
   MsgId allocate();
   /// Return a slot to the free list. The id must be live.
   void release(MsgId id);

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,16 @@ struct SimConfig {
     return routing == RoutingMode::Deterministic ? "deterministic" : "adaptive";
   }
 };
+
+/// Longest message the engines can carry: Message::length and
+/// NodeState::streamLen are 16-bit.
+inline constexpr int kMaxMessageLength =
+    std::numeric_limits<decltype(Message::length)>::max();
+
+/// Reject a configuration the engines cannot run as written. Throws
+/// std::invalid_argument naming the offending key and value. Called by the
+/// Network constructor, so no run ever starts from an invalid config.
+void validate(const SimConfig& cfg);
 
 /// Scale presets: the paper simulates 100k messages with 10k warm-up per
 /// point; `Reduced` preserves the curve shapes at ~1/10 the cost (default on

@@ -158,6 +158,13 @@ SimConfig parseConfig(std::span<const std::string> assignments, const SimConfig&
   return cfg;
 }
 
+void validate(const SimConfig& cfg) {
+  if (cfg.messageLength < 1 || cfg.messageLength > kMaxMessageLength) {
+    fail("config: msg_length must be in 1.." + std::to_string(kMaxMessageLength) +
+         ", got " + std::to_string(cfg.messageLength));
+  }
+}
+
 std::string describeConfig(const SimConfig& cfg) {
   std::ostringstream os;
   os << cfg.radix << "-ary " << cfg.dims << "-cube, " << cfg.routingName()

@@ -230,7 +230,7 @@ void MtEngine::buildCards(int d) {
           const int unitIdx = ow * 64 + std::countr_zero(units);
           units &= units - 1;
           const int g = routerBase + unitIdx;
-          const Flit& front = a.front(g);
+          const Flit front = a.front(g);
           if (!front.isHeader()) continue;
           if (td != 0 && a.frontArrival(g) + td > cycle) continue;
           cand.push_back({static_cast<std::int32_t>(g), front.msg,

@@ -26,10 +26,15 @@ FaultSet buildFaults(const TorusTopology& topo, const FaultSpec& spec, Rng rng) 
   return faults;
 }
 
+const SimConfig& validated(const SimConfig& cfg) {
+  validate(cfg);
+  return cfg;
+}
+
 }  // namespace
 
 Network::Network(const SimConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       topo_(cfg.radix, cfg.dims),
       faults_(buildFaults(topo_, cfg.faults, Rng(cfg.seed).split(0xFA17))),
       part_(cfg.routing, cfg.vcs, cfg.escapeVcs),
@@ -110,6 +115,11 @@ Network::~Network() = default;  // here: ~MtEngine needs the complete type
 MsgId Network::injectTestMessage(NodeId src, NodeId dest, int length, RoutingMode mode) {
   if (faults_.nodeFaulty(src) || faults_.nodeFaulty(dest)) {
     throw std::invalid_argument("injectTestMessage: endpoint is faulty");
+  }
+  if (length < 1 || length > kMaxMessageLength) {
+    throw std::invalid_argument("injectTestMessage: length must be in 1.." +
+                                std::to_string(kMaxMessageLength) + ", got " +
+                                std::to_string(length));
   }
   const MsgId id = pool_.allocate();
   Message& m = pool_.get(id);
@@ -320,7 +330,7 @@ std::string Network::validateArenaRouters() const {
       const int g = arena_.base(id) + u;
       MsgId current = kInvalidMsg;
       for (int i = 0; i < arena_.size(g); ++i) {
-        const Flit& f = arena_.flitAt(g, i);
+        const Flit f = arena_.flitAt(g, i);
         if (current == kInvalidMsg) {
           // First flit of a framing span: either a header, or the mid-drain
           // remainder of a message whose header departed earlier.

@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "src/router/flit.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/vec_fifo.hpp"
 
 namespace swft {
 
@@ -17,11 +17,13 @@ struct PendingReinjection {
 };
 
 struct NodeState {
-  /// Locally generated messages waiting to enter the network.
-  std::deque<MsgId> sourceQueue;
+  /// Locally generated messages waiting to enter the network. Both queues
+  /// own no heap until their first push: most nodes of a large, lightly
+  /// loaded torus never queue anything.
+  VecFifo<MsgId> sourceQueue;
   /// Absorbed messages being held by the messaging layer for Δ cycles.
-  /// FIFO: Δ is constant, so the deque stays sorted by readyCycle.
-  std::deque<PendingReinjection> swQueue;
+  /// FIFO: Δ is constant, so the queue stays sorted by readyCycle.
+  VecFifo<PendingReinjection> swQueue;
 
   /// Message currently being streamed into an injection virtual channel.
   MsgId streaming = kInvalidMsg;

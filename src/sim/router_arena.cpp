@@ -30,40 +30,35 @@ RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
   const std::size_t units =
       static_cast<std::size_t>(nodes) * static_cast<std::size_t>(unitsPerRouter_);
   const std::size_t slots = units << strideLog2_;
+  const std::size_t nodeWords =
+      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(occWords_);
+  // The ZeroedVector resizes below write nothing: their empty state is the
+  // allocator's zero fill.
   flit_.resize(slots);
-  if (exactArrivals_) arrival_.resize(slots, 0);
+  if (exactArrivals_) arrival_.resize(slots);
   // One extra always-empty row of V units past the real ones: the credit
   // sink. The engine points the ejection port's "downstream" units here so a
   // credit probe of any port alike reads a never-full size (the sink's
   // creditOk_ bits below stay permanently set for the same reason).
   meta_.resize(units + static_cast<std::size_t>(vcs));
-  route_.resize(units, 0);
-  routedMask_.resize(static_cast<std::size_t>(nodes) *
-                         static_cast<std::size_t>(occWords_),
-                     0);
-  portMembers_.resize(static_cast<std::size_t>(nodes) *
-                          static_cast<std::size_t>(totalPorts) *
-                          static_cast<std::size_t>(occWords_),
-                      0);
-  fresh_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(occWords_),
-                0);
-  downOk_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(occWords_),
-                 0);
+  route_.resize(units);
+  routedMask_.resize(nodeWords);
+  portMembers_.resize(nodeWords * static_cast<std::size_t>(totalPorts));
+  fresh_.resize(nodeWords);
+  downOk_.resize(nodeWords);
   // Every buffer starts empty (size 0 < depth), and the credit-sink row past
   // the real units never fills, so the whole map starts — and the sink bits
   // permanently stay — creditable.
   creditOk_.resize((units + static_cast<std::size_t>(vcs) + 63) / 64, ~0ULL);
-  routeDown_.resize(units, -1);
-  feeder_.resize(units, -1);
-  freshDirty_.resize(static_cast<std::size_t>(nodes), 0);
+  routeDown_.resize(units);
+  feeder_.resize(units);
+  freshDirty_.resize(static_cast<std::size_t>(nodes));
   outOwner_.resize(static_cast<std::size_t>(nodes) *
-                       static_cast<std::size_t>(networkPorts * vcs),
-                   -1);
-  freeVc_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(networkPorts),
-                 static_cast<std::uint16_t>((1u << vcs) - 1));
-  cursor_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(totalPorts),
-                 0);
-  occ_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(occWords_), 0);
+                   static_cast<std::size_t>(networkPorts * vcs));
+  ownedVc_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(networkPorts));
+  allVcs_ = static_cast<std::uint16_t>((1u << vcs) - 1);
+  cursor_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(totalPorts));
+  occ_.resize(nodeWords);
   active_.resize((static_cast<std::size_t>(nodes) + 63) / 64, 0);
 }
 
@@ -136,7 +131,7 @@ std::string RouterArena::auditMasks(std::uint64_t freshCycle) const {
       }
       // downOk_ / routeDown_ / feeder_: consistent with the route word.
       const bool routed = wordRouted(route_[g]);
-      const int du = routeDown_[g];
+      const int du = routeDown_[g] - 1;
       if (routed != (du >= 0)) {
         os << "routeDown mismatch at node " << id << " local " << local
            << ": routed=" << routed << " routeDown=" << du;
@@ -150,11 +145,9 @@ std::string RouterArena::auditMasks(std::uint64_t freshCycle) const {
         return os.str();
       }
       if (routed && du < sink) {
-        const std::int64_t expectFeeder =
-            (static_cast<std::int64_t>(id) << 32) | local;
-        if (feeder_[du] != expectFeeder) {
+        if (feeder_[du] != feederWord(id, local)) {
           os << "feeder mismatch at downstream unit " << du << ": feeder="
-             << feeder_[du] << " expected node " << id << " local " << local;
+             << feeder_[du] - 1 << " expected node " << id << " local " << local;
           return os.str();
         }
       }
@@ -175,15 +168,15 @@ std::string RouterArena::auditMasks(std::uint64_t freshCycle) const {
   // Every feeder entry must point at a unit routed onto it (no leaks after
   // releaseRoute).
   for (int du = 0; du < sink; ++du) {
-    const std::int64_t f = feeder_[du];
+    const std::int64_t f = feeder_[du] - 1;
     if (f < 0) continue;
     const auto fNode = static_cast<NodeId>(f >> 32);
     const int fLocal = static_cast<int>(f & 0x7FFFFFFF);
     const int fg = base(fNode) + fLocal;
-    if (!wordRouted(route_[fg]) || routeDown_[fg] != du) {
+    if (!wordRouted(route_[fg]) || routeDown_[fg] - 1 != du) {
       os << "stale feeder at downstream unit " << du << ": points at node "
          << fNode << " local " << fLocal << " routeWord=" << route_[fg]
-         << " routeDown=" << routeDown_[fg];
+         << " routeDown=" << routeDown_[fg] - 1;
       return os.str();
     }
   }

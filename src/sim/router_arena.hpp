@@ -52,6 +52,7 @@
 
 #include "src/router/flit.hpp"
 #include "src/topology/coordinates.hpp"
+#include "src/util/zeroed_alloc.hpp"
 
 namespace swft {
 
@@ -91,8 +92,8 @@ class RouterArena {
   [[nodiscard]] bool empty(int u) const noexcept { return meta_[u].size == 0; }
   [[nodiscard]] bool full(int u) const noexcept { return meta_[u].size == depth_; }
   [[nodiscard]] int size(int u) const noexcept { return meta_[u].size; }
-  [[nodiscard]] const Flit& front(int u) const noexcept {
-    return flit_[slot(u, meta_[u].head)];
+  [[nodiscard]] Flit front(int u) const noexcept {
+    return unpackFlit(flit_[slot(u, meta_[u].head)]);
   }
   /// Arrival stamp of the front flit, kept beside the ring head/size: the
   /// per-cycle eligibility checks (`departed-this-cycle`, Td) and the push/
@@ -101,8 +102,8 @@ class RouterArena {
     return meta_[u].frontArrival;
   }
   /// i-th buffered flit from the front (introspection/validation).
-  [[nodiscard]] const Flit& flitAt(int u, int i) const noexcept {
-    return flit_[slot(u, (meta_[u].head + i) & strideMask_)];
+  [[nodiscard]] Flit flitAt(int u, int i) const noexcept {
+    return unpackFlit(flit_[slot(u, (meta_[u].head + i) & strideMask_)]);
   }
 
   [[nodiscard]] const std::uint32_t* routeRow(int u) const noexcept {
@@ -178,16 +179,15 @@ class RouterArena {
     const std::uint64_t bit = 1ULL << (localUnit & 63);
     routedMask_[maskIndex(node, localUnit)] |= bit;
     portMembers_[memberIndex(node, port, localUnit)] |= bit;
-    routeDown_[g] = downUnit;
+    routeDown_[g] = downUnit + 1;
     assert((downOk_[maskIndex(node, localUnit)] & bit) == 0);
     if ((creditOk_[static_cast<std::size_t>(downUnit) >> 6] >>
          (downUnit & 63)) & 1u) {
       downOk_[maskIndex(node, localUnit)] |= bit;
     }
     if (downUnit < creditSinkBase()) {
-      assert(feeder_[downUnit] < 0);
-      feeder_[downUnit] =
-          (static_cast<std::int64_t>(node) << 32) | localUnit;
+      assert(feeder_[downUnit] == 0);
+      feeder_[downUnit] = feederWord(node, localUnit);
     }
   }
   void releaseRoute(NodeId node, int localUnit) noexcept {
@@ -198,9 +198,9 @@ class RouterArena {
     routedMask_[maskIndex(node, localUnit)] &= ~bit;
     portMembers_[memberIndex(node, port, localUnit)] &= ~bit;
     downOk_[maskIndex(node, localUnit)] &= ~bit;
-    const int du = routeDown_[g];
-    routeDown_[g] = -1;
-    if (du >= 0 && du < creditSinkBase()) feeder_[du] = -1;
+    const int du = routeDown_[g] - 1;
+    routeDown_[g] = 0;
+    if (du >= 0 && du < creditSinkBase()) feeder_[du] = 0;
   }
 
   /// Bit per unit: currently routed (holds an output allocation).
@@ -258,27 +258,28 @@ class RouterArena {
   // --- output-VC ownership (network ports only) -----------------------------
   /// Owner (input-unit index local to router `id`) of an output VC, -1 free.
   [[nodiscard]] std::int16_t outOwner(NodeId id, int port, int vc) const noexcept {
-    return outOwner_[ownerIndex(id, port, vc)];
+    return static_cast<std::int16_t>(outOwner_[ownerIndex(id, port, vc)] - 1);
   }
   void setOutOwner(NodeId id, int port, int vc, std::int16_t owner) noexcept {
-    outOwner_[ownerIndex(id, port, vc)] = owner;
+    outOwner_[ownerIndex(id, port, vc)] = static_cast<std::int16_t>(owner + 1);
     const std::size_t i = static_cast<std::size_t>(id) *
                               static_cast<std::size_t>(networkPorts_) +
                           static_cast<std::size_t>(port);
     const auto bit = static_cast<std::uint16_t>(1u << vc);
     if (owner < 0) {
-      freeVc_[i] |= bit;
+      ownedVc_[i] = static_cast<std::uint16_t>(ownedVc_[i] & ~bit);
     } else {
-      freeVc_[i] = static_cast<std::uint16_t>(freeVc_[i] & ~bit);
+      ownedVc_[i] |= bit;
     }
   }
   /// Bit per VC of output port `port`: set iff the VC has no owner. Mirrors
   /// outOwner_ exactly (maintained by setOutOwner), so the VC-allocation scan
   /// ANDs one word instead of probing owners per VC.
   [[nodiscard]] std::uint16_t freeVcMask(NodeId id, int port) const noexcept {
-    return freeVc_[static_cast<std::size_t>(id) *
-                       static_cast<std::size_t>(networkPorts_) +
-                   static_cast<std::size_t>(port)];
+    return static_cast<std::uint16_t>(
+        allVcs_ & ~ownedVc_[static_cast<std::size_t>(id) *
+                                static_cast<std::size_t>(networkPorts_) +
+                            static_cast<std::size_t>(port)]);
   }
 
   // --- round-robin switch-arbitration cursors -------------------------------
@@ -341,6 +342,11 @@ class RouterArena {
     }
     return true;
   }
+  /// feeder_ entry for upstream unit `localUnit` of router `node`: the
+  /// packed (node << 32 | local) plus one, so 0 means "no feeder".
+  [[nodiscard]] static std::int64_t feederWord(NodeId node, int localUnit) noexcept {
+    return ((static_cast<std::int64_t>(node) << 32) | localUnit) + 1;
+  }
   [[nodiscard]] std::size_t memberIndex(NodeId node, int port,
                                         int localUnit) const noexcept {
     return (static_cast<std::size_t>(node) * static_cast<std::size_t>(totalPorts_) +
@@ -369,7 +375,7 @@ class RouterArena {
     } else {
       if (nowOk) cw |= cbit; else cw &= ~cbit;
     }
-    const std::int64_t f = feeder_[u];
+    const std::int64_t f = feeder_[u] - 1;
     if (f < 0) return;
     const auto fNode = static_cast<NodeId>(f >> 32);
     const int fLocal = static_cast<int>(f & 0x7FFFFFFF);
@@ -403,7 +409,7 @@ class RouterArena {
     UnitMeta& m = meta_[u];
     const std::uint16_t was = m.size;
     const int s = slot(u, (m.head + was) & strideMask_);
-    flit_[s] = f;
+    flit_[s] = packFlit(f);
     if (exactArrivals_) {
       arrival_[s] = arrivalCycle;
     } else {
@@ -432,7 +438,7 @@ class RouterArena {
   Flit popImpl(NodeId node, int u, std::uint64_t now) noexcept {
     assert(u >= base(node) && u < base(node) + unitsPerRouter_);
     UnitMeta& m = meta_[u];
-    const Flit f = flit_[slot(u, m.head)];
+    const Flit f = unpackFlit(flit_[slot(u, m.head)]);
     m.head = static_cast<std::uint16_t>((m.head + 1) & strideMask_);
     const bool wasFull = m.size == depth_;
     const std::uint16_t left = static_cast<std::uint16_t>(m.size - 1);
@@ -497,15 +503,21 @@ class RouterArena {
   int occWords_;     // occupancy words per router
   bool exactArrivals_;
 
-  // Flit rings: slot = (unit << strideLog2) + ringPos.
-  std::vector<Flit> flit_;
-  std::vector<std::uint64_t> arrival_;  // per-slot stamps (exact mode only)
+  // Every array whose empty state is all-zero bytes is a ZeroedVector, so
+  // construction writes none of it (see src/util/zeroed_alloc.hpp and
+  // DESIGN.md "Memory layout"); "none" sentinels are stored as 0 by keeping
+  // the real values offset by one.
+
+  // Flit rings: slot = (unit << strideLog2) + ringPos; one packFlit word per
+  // slot (msg << 2 | kind).
+  ZeroedVector<std::uint32_t> flit_;
+  ZeroedVector<std::uint64_t> arrival_;  // per-slot stamps (exact mode only)
   // Hot per-unit ring metadata, packed so one cache access serves a whole
   // push or pop (a flit move reads and writes every field; keeping them in
   // parallel arrays cost a separate line touch each). 24-byte stride; the
   // u16s sit after the u64s so the record needs no internal padding. The
   // credit sink (vcs entries past the real units, see ctor) rides along with
-  // permanently-zero sizes.
+  // permanently-zero sizes. All-zero is the empty record.
   struct UnitMeta {
     std::uint64_t frontArrival = 0;  // stamp of the front flit
     std::uint64_t lastPush = 0;      // latest stamp (inexact mode only)
@@ -514,25 +526,26 @@ class RouterArena {
     std::uint32_t pad_ = 0;
   };
   static_assert(sizeof(UnitMeta) == 24);
-  std::vector<UnitMeta> meta_;
+  ZeroedVector<UnitMeta> meta_;
 
-  std::vector<std::uint32_t> route_;
-  std::vector<std::uint64_t> routedMask_;   // node x occWords
-  std::vector<std::uint64_t> portMembers_;  // (node x totalPorts) x occWords
+  ZeroedVector<std::uint32_t> route_;
+  ZeroedVector<std::uint64_t> routedMask_;   // node x occWords
+  ZeroedVector<std::uint64_t> portMembers_;  // (node x totalPorts) x occWords
 
   // Incremental qualification state (see class comment / DESIGN.md §8).
-  std::vector<std::uint64_t> fresh_;      // node x occWords
-  std::vector<std::uint64_t> downOk_;     // node x occWords
-  std::vector<std::uint64_t> creditOk_;   // global units + sink row, bit-packed
-  std::vector<std::int32_t> routeDown_;   // per unit: downstream target, -1 free
-  std::vector<std::int64_t> feeder_;      // per unit: upstream (node<<32|local), -1
-  std::vector<std::uint8_t> freshDirty_;  // per router: freshness changed last cycle
+  ZeroedVector<std::uint64_t> fresh_;      // node x occWords
+  ZeroedVector<std::uint64_t> downOk_;     // node x occWords
+  std::vector<std::uint64_t> creditOk_;    // global units + sink row, bit-packed
+  ZeroedVector<std::int32_t> routeDown_;   // per unit: downstream target + 1, 0 free
+  ZeroedVector<std::int64_t> feeder_;      // per unit: feederWord of the upstream, 0 none
+  ZeroedVector<std::uint8_t> freshDirty_;  // per router: freshness changed last cycle
 
-  std::vector<std::int16_t> outOwner_;
-  std::vector<std::uint16_t> freeVc_;  // per (node, port): bit vc = unowned
-  std::vector<std::uint16_t> cursor_;
+  ZeroedVector<std::int16_t> outOwner_;   // owner + 1, 0 free
+  ZeroedVector<std::uint16_t> ownedVc_;   // per (node, port): bit vc = owned
+  std::uint16_t allVcs_;                  // (1 << vcs) - 1
+  ZeroedVector<std::uint16_t> cursor_;
 
-  std::vector<std::uint64_t> occ_;
+  ZeroedVector<std::uint64_t> occ_;
   std::vector<std::uint64_t> active_;
 };
 

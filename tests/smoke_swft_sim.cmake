@@ -1,5 +1,6 @@
 # CTest smoke script: run swft_sim end-to-end in CSV mode on a small faulty
-# torus and check the exit code and output shape.
+# torus and check the exit code and output shape, then check that an
+# out-of-range msg_length is refused.
 #
 #   cmake -DSWFT_SIM=<path-to-binary> -P smoke_swft_sim.cmake
 if(NOT SWFT_SIM)
@@ -45,5 +46,21 @@ endif()
 if(NOT row MATCHES ",0$")
   message(FATAL_ERROR "deadlock column should be 0 on a clean run: ${row}")
 endif()
+
+# Out-of-range message lengths are rejected up front with a non-zero exit
+# and an error naming the key, instead of running a narrowed length.
+foreach(bad 0 70000)
+  execute_process(
+    COMMAND ${SWFT_SIM} --csv k=4 n=2 msg_length=${bad}
+    RESULT_VARIABLE badRc
+    OUTPUT_VARIABLE badOut
+    ERROR_VARIABLE badErr)
+  if(badRc EQUAL 0)
+    message(FATAL_ERROR "swft_sim accepted msg_length=${bad}:\n${badOut}")
+  endif()
+  if(NOT badErr MATCHES "msg_length")
+    message(FATAL_ERROR "msg_length=${bad} error does not name the key: ${badErr}")
+  endif()
+endforeach()
 
 message(STATUS "swft_sim smoke OK: ${row}")

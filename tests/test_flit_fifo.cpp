@@ -20,6 +20,19 @@ TEST(Flit, KindPredicates) {
   EXPECT_TRUE(ht.isTail());
 }
 
+TEST(Flit, PackRoundTripsEveryKindUpToTheLargestId) {
+  for (const MsgId msg : {MsgId{0}, MsgId{1}, kMaxMsgId - 1, kMaxMsgId}) {
+    for (const FlitKind kind : {FlitKind::Header, FlitKind::Body, FlitKind::Tail,
+                                FlitKind::HeaderTail}) {
+      const Flit f = unpackFlit(packFlit(Flit{msg, kind}));
+      EXPECT_EQ(f.msg, msg);
+      EXPECT_EQ(f.kind, kind);
+    }
+  }
+  EXPECT_EQ(kMaxMsgId, (MsgId{1} << 30) - 1);
+  EXPECT_EQ(packFlit(Flit{kMaxMsgId, FlitKind::HeaderTail}), ~std::uint32_t{0});
+}
+
 TEST(FlitFifo, StartsEmptyWithRequestedCapacity) {
   FlitFifo f(4);
   EXPECT_TRUE(f.empty());

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/sim/network.hpp"
 
 namespace swft {
@@ -23,6 +26,47 @@ SimConfig quietConfig(int k, int n, int vcs = 4) {
   cfg.measuredMessages = 1;
   cfg.maxCycles = 50'000;
   return cfg;
+}
+
+TEST(NetworkBasics, IdleNodesOwnNoQueueHeap) {
+  SimConfig cfg = quietConfig(8, 3);
+  cfg.injectionRate = 0.001;  // generation scheduled, nothing generated yet
+  Network net(cfg);
+  for (NodeId id = 0; id < net.topology().nodeCount(); ++id) {
+    EXPECT_EQ(net.node(id).sourceQueue.capacity(), 0u) << "node " << id;
+    EXPECT_EQ(net.node(id).swQueue.capacity(), 0u) << "node " << id;
+  }
+}
+
+TEST(NetworkBasics, MessageLengthMustFitTheSixteenBitField) {
+  for (const int bad : {0, -1, kMaxMessageLength + 1, 70'000}) {
+    SimConfig cfg = quietConfig(4, 2);
+    cfg.messageLength = bad;
+    try {
+      Network net(cfg);
+      ADD_FAILURE() << "msg_length=" << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("msg_length"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+    }
+  }
+  for (const int good : {1, kMaxMessageLength}) {
+    SimConfig cfg = quietConfig(4, 2);
+    cfg.messageLength = good;
+    EXPECT_NO_THROW(validate(cfg));
+    EXPECT_NO_THROW(Network{cfg});
+  }
+  EXPECT_EQ(kMaxMessageLength, 65'535);
+
+  Network net(quietConfig(4, 2));
+  EXPECT_THROW(net.injectTestMessage(0, 5, 0, RoutingMode::Deterministic),
+               std::invalid_argument);
+  EXPECT_THROW(net.injectTestMessage(0, 5, kMaxMessageLength + 1, RoutingMode::Deterministic),
+               std::invalid_argument);
+  EXPECT_EQ(net.generated(), 0u) << "a rejected message is not counted";
+  net.injectTestMessage(0, 5, kMaxMessageLength, RoutingMode::Deterministic);
+  EXPECT_EQ(net.generated(), 1u);
 }
 
 TEST(NetworkBasics, ConstructionAppliesFaultSpec) {

@@ -167,12 +167,48 @@ TEST(RouterArena, FreshnessMaturesAtCycleBoundary) {
 TEST(RouterArena, OutputOwnershipLifecycle) {
   RouterArena a = smallArena();
   EXPECT_EQ(a.outOwner(1, 2, 1), -1);
+  EXPECT_EQ(a.freeVcMask(1, 2), 0xF) << "a fresh arena has every VC free";
   a.setOutOwner(1, 2, 1, 7);
   EXPECT_EQ(a.outOwner(1, 2, 1), 7);
+  EXPECT_EQ(a.freeVcMask(1, 2), 0xD);
   EXPECT_EQ(a.outOwner(1, 2, 0), -1) << "other VCs unaffected";
   EXPECT_EQ(a.outOwner(2, 2, 1), -1) << "other routers unaffected";
+  a.setOutOwner(1, 2, 1, 0);
+  EXPECT_EQ(a.outOwner(1, 2, 1), 0) << "local unit 0 is an owner, not 'free'";
   a.setOutOwner(1, 2, 1, -1);
   EXPECT_EQ(a.outOwner(1, 2, 1), -1);
+  EXPECT_EQ(a.freeVcMask(1, 2), 0xF);
+}
+
+TEST(RouterArena, PackedSlotsRoundTripEveryKindAndTheLargestId) {
+  RouterArena a = smallArena(4);
+  EXPECT_EQ(a.auditMasks(0), "") << "a fresh (all-zero) arena is consistent";
+  const int u = a.unitIndex(3, 4, 3);
+  const Flit flits[] = {{kMaxMsgId, FlitKind::Header},
+                        {kMaxMsgId, FlitKind::Body},
+                        {0, FlitKind::Tail},
+                        {kMaxMsgId - 1, FlitKind::HeaderTail}};
+  for (int round = 0; round < 3; ++round) {  // the ring head walks every slot
+    for (const Flit& f : flits) a.push(3, u, f, 1);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(a.flitAt(u, i).msg, flits[i].msg);
+      EXPECT_EQ(a.flitAt(u, i).kind, flits[i].kind);
+    }
+    EXPECT_EQ(a.auditMasks(1), "");
+    for (const Flit& f : flits) {
+      EXPECT_EQ(a.front(u).msg, f.msg);
+      EXPECT_EQ(a.front(u).kind, f.kind);
+      const Flit got = a.pop(3, u, 2);
+      EXPECT_EQ(got.msg, f.msg);
+      EXPECT_EQ(got.kind, f.kind);
+      EXPECT_EQ(got.isHeader(), f.isHeader());
+      EXPECT_EQ(got.isTail(), f.isTail());
+    }
+    a.push(3, u, Flit{7, FlitKind::Body}, 2);  // offset the head for the next round
+    a.pop(3, u, 3);
+    a.matureFreshness();
+    EXPECT_EQ(a.auditMasks(3), "");
+  }
 }
 
 TEST(RouterArena, CursorsPerNodeAndPort) {

@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   swft::SimConfig cfg;
   try {
     cfg = swft::parseConfig(assignments);
+    swft::validate(cfg);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n\n", e.what());
     printUsage();
