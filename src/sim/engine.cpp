@@ -39,18 +39,17 @@
 namespace {
 struct EventCounts {
   unsigned long long cycles = 0, routers = 0, phaseAUnits = 0, livePorts = 0,
-                     okIters = 0, commits = 0, ejections = 0, ejCand = 0;
+                     okIters = 0, commits = 0, ejections = 0;
   unsigned long long tPhaseA = 0, tQual = 0, tWinners = 0, tOther = 0;
   unsigned long long tPop = 0, tPush = 0, tEject = 0;
   unsigned long long tGen = 0, tInj = 0, tWalk = 0;
   ~EventCounts() {
     std::fprintf(stderr,
                  "event counts per cycle: routers %.2f phaseA %.2f livePorts "
-                 "%.2f okIters %.2f commits %.2f ejCand %.2f ejections %.2f\n",
+                 "%.2f okIters %.2f commits %.2f ejections %.2f\n",
                  1.0 * routers / cycles, 1.0 * phaseAUnits / cycles,
                  1.0 * livePorts / cycles, 1.0 * okIters / cycles,
-                 1.0 * commits / cycles, 1.0 * ejCand / cycles,
-                 1.0 * ejections / cycles);
+                 1.0 * commits / cycles, 1.0 * ejections / cycles);
     std::fprintf(stderr,
                  "tsc per cycle: phaseA %.0f qual %.0f winners %.0f other %.0f "
                  "pop %.0f push %.0f eject %.0f\n",
@@ -148,6 +147,7 @@ void Network::advanceCycleSparse() {
   // bits the dense sweep would also skip this cycle.
   const std::vector<std::uint64_t>& active = arena_.activeWords();
   const bool forward = (cycle_ & 1) == 0;
+  const StepRouterFn step = stepRouterFor(arena_.occWordsPerRouter());
   SWFT_EC_TSC(tWalk, if (forward) {
     for (std::size_t w = simd::findNonZero(active.data(), 0, active.size());
          w < active.size();
@@ -155,7 +155,7 @@ void Network::advanceCycleSparse() {
       std::uint64_t bits = active[w];
       while (bits) {
         const int b = std::countr_zero(bits);
-        stepRouter(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
+        (this->*step)(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
         bits = (b == 63) ? 0 : (active[w] & (~0ULL << (b + 1)));
       }
     }
@@ -166,7 +166,7 @@ void Network::advanceCycleSparse() {
       std::uint64_t bits = active[w];
       while (bits) {
         const int b = 63 - std::countl_zero(bits);
-        stepRouter(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
+        (this->*step)(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
         bits = active[w] & ((1ULL << b) - 1);
       }
     }
@@ -355,12 +355,23 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
   arena_.setOutOwner(id, outPort, outVc, static_cast<std::int16_t>(unitIdx));
 }
 
+Network::StepRouterFn Network::stepRouterFor(int occWords) noexcept {
+  switch (occWords) {
+    case 1: return &Network::stepRouter<1>;
+    case 2: return &Network::stepRouter<2>;
+    case 3: return &Network::stepRouter<3>;
+    case 4: return &Network::stepRouter<4>;
+    default: assert(occWords == 5); return &Network::stepRouter<5>;
+  }
+}
+
+template <int W>
 void Network::stepRouter(NodeId id) {
+  assert(arena_.occWordsPerRouter() == W);
   SWFT_EC_ADD(routers, 1);
   const int localPort = networkPorts_;
   const auto td = static_cast<std::uint64_t>(cfg_.routerDecisionTime);
   const int routerBase = arena_.base(id);
-  const int occW = arena_.occWordsPerRouter();
   const std::uint64_t* occ = arena_.occWords(id);
 
   // Phase A: route computation + VC allocation for occupied unrouted heads,
@@ -368,7 +379,7 @@ void Network::stepRouter(NodeId id) {
   // step, so the order must match the dense reference scan exactly.
   const std::uint64_t* routedW = arena_.routedWords(id);
   SWFT_EC_TSC(tPhaseA, {
-    for (int w = 0; w < occW; ++w) {
+    for (int w = 0; w < W; ++w) {
       std::uint64_t bits = occ[w] & ~routedW[w];
       while (bits) {
         const int unitIdx = w * 64 + std::countr_zero(bits);
@@ -381,105 +392,61 @@ void Network::stepRouter(NodeId id) {
       }
     }
   });
-
-  // Phase B: the batched link pass. One pass per output link, ascending port
-  // order with the ejection port last: the link's candidate set is a single
-  // request-mask word ANDed with the occupancy word, its downstream credit
-  // line is hoisted once (the V downstream buffer sizes are contiguous
-  // uint16s), and the first eligible candidate in circular round-robin order
-  // from the port cursor — exactly the min-key winner of the dense
-  // reference's full scan — commits immediately.
-  //
-  // Fusing selection and commit per link is legal because links of one
-  // router cannot interfere: a commit on port p pops a unit that requests
-  // only p (route words are per-unit), pushes into neighbor(id, p)'s input
-  // port p^1 while port q's credit line lives at neighbor(id, q)'s input
-  // port q^1 (distinct unless p == q, even when both ports reach the same
-  // neighbor on a radix-2 ring), and cursors are per-port. Hence every
-  // eligibility probe reads exactly the state the dense engine's
-  // select-all-then-commit pass would read. The ejection port commits last
-  // so software-layer RNG draws (absorption replanning) stay in the dense
-  // engine's position in the stream.
-  if (occW == 1) {
-    // Every router configuration with <= 64 input units. Qualification is
-    // three row loads and two word ANDs against the arena's incrementally
-    // maintained bitmaps — ok = fresh & downOk (freshness and mapped
-    // downstream credit, each a superset-pruned subset of live), bucketed
-    // per output port by the SIMD membership sweep. Reading all
-    // qualifications from pre-commit state is legal by the non-interference
-    // argument above: no commit on port p changes port q's candidates, their
-    // arrival stamps, or their downstream credit line. occW == 1 bounds the
-    // unit count by 64 and hence the port count by 64 / vcs. The pass lives
-    // in link_qual.hpp, shared with the sparse-mt engine's P1
-    // precomputation, and owns the okp rows outright (no zeroing prelude).
-    std::uint64_t okp[64];
-    std::uint64_t pm;
-    SWFT_EC_TSC(tQual,
-                pm = qualifyLinkCandidates(arena_, id, okp, localPort + 1));
-    SWFT_EC_ADD(okIters, std::popcount(occ[0] & routedW[0]));
-    // Commit winners in ascending port order, ejection (the highest port)
-    // last. Per port, the first qualified bit in circular round-robin order
-    // from the cursor is picked with one rotate: rotr moves bit u to
-    // (u - cur) mod 64, so the lowest rotated bit is exactly the min-key
-    // winner of the dense reference's scan.
-    const int unitCount = arena_.unitsPerRouter();
-    SWFT_EC_TSC(tWinners, while (pm != 0) {
-      SWFT_EC_ADD(livePorts, 1);
-      const int port = std::countr_zero(pm);
-      pm &= pm - 1;
-      const int cur = arena_.cursor(id, port);
-      const std::uint64_t rot = std::rotr(okp[port], cur);
-      const int winnerIdx = (cur + std::countr_zero(rot)) & 63;
-      if (port == localPort) {
-        arena_.setCursor(id, port,
-                         static_cast<std::uint16_t>(
-                             winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
-        SWFT_EC_ADD(ejections, 1);
-        SWFT_EC_TSC_F(tEject, ejectFlit(id, winnerIdx));
-      } else {
-        SWFT_EC_ADD(commits, 1);
-        commitLink(id, port, winnerIdx);
-      }
-    });
-    return;
+  for (int w = 0; w < W; ++w) {
+    SWFT_EC_ADD(okIters, std::popcount(occ[w] & routedW[w]));
   }
 
-  // Generic multi-word path (routers with more than 64 input units, e.g. a
-  // 3-cube with V = 10): same per-link batching, candidate words walked
-  // circularly from the cursor word, qualified by the same bitmap ANDs as
-  // the one-word fast path (fresh & downOk; membership plays the role of
-  // the request mask).
+  // Phase B: the batched link pass. One commit per output link, ascending
+  // port order with the ejection port last; the winner of each link is the
+  // first eligible candidate in circular round-robin order from the port
+  // cursor — exactly the min-key winner of the dense reference's full scan.
+  //
+  // Qualifying every link up front and then committing link by link is
+  // legal because links of one router cannot interfere: a commit on port p
+  // pops a unit that requests only p (route words are per-unit), pushes into
+  // neighbor(id, p)'s input port p^1 while port q's credit line lives at
+  // neighbor(id, q)'s input port q^1 (distinct unless p == q, even when both
+  // ports reach the same neighbor on a radix-2 ring), and cursors are
+  // per-port. So no commit on port p changes port q's fresh, downOk or
+  // member bits, and every eligibility read sees exactly the state the dense
+  // engine's select-all-then-commit pass would read. The ejection port
+  // commits last so software-layer RNG draws (absorption replanning) stay in
+  // the dense engine's position in the stream.
+  //
+  // Qualify once: ok = fresh & downOk (freshness and mapped downstream
+  // credit, each a subset of live), bucketed per output port by the sweep
+  // over the contiguous membership rows (link_qual.hpp).
+  const std::uint64_t* fresh = arena_.freshWords(id);
+  const std::uint64_t* downOk = arena_.downOkWords(id);
+  std::uint64_t ok[W];
+  std::uint64_t any = 0;
+  for (int w = 0; w < W; ++w) {
+    ok[w] = fresh[w] & downOk[w];
+    any |= ok[w];
+  }
+  if (any == 0) return;
+  std::uint64_t okp[(2 * kMaxDims + 1) * W];
+  std::uint64_t pm;
+  SWFT_EC_TSC(tQual, pm = qualifyPortRows<W>(ok, arena_.portMembers(id, 0), okp,
+                                              localPort + 1));
+  // Commit per live port, ejection (the highest port) last.
   const int unitCount = arena_.unitsPerRouter();
-  const std::uint64_t* freshW = arena_.freshWords(id);
-  const std::uint64_t* downOkW = arena_.downOkWords(id);
-  for (int port = 0; port <= localPort; ++port) {
-    const std::uint64_t* req = arena_.portMembers(id, port);
-    const bool isLocal = port == localPort;
-    const int cur = arena_.cursor(id, port);
-    const int cw = cur >> 6;
-    const int cb = cur & 63;
-    int winnerIdx = -1;
-    for (int k = 0; k <= occW && winnerIdx < 0; ++k) {
-      int w = cw + k;
-      if (w >= occW) w -= occW;
-      std::uint64_t m = req[w] & freshW[w] & downOkW[w];
-      if (k == 0) {
-        m &= ~0ULL << cb;
-      } else if (k == occW) {
-        m &= (cb == 0) ? 0 : ((1ULL << cb) - 1);  // wrapped tail of cursor word
-      }
-      if (m != 0) winnerIdx = w * 64 + std::countr_zero(m);
-    }
-    if (winnerIdx < 0) continue;
-    if (isLocal) {
+  SWFT_EC_TSC(tWinners, while (pm != 0) {
+    SWFT_EC_ADD(livePorts, 1);
+    const int port = std::countr_zero(pm);
+    pm &= pm - 1;
+    const int winnerIdx = pickRoundRobin<W>(okp + port * W, arena_.cursor(id, port));
+    if (port == localPort) {
       arena_.setCursor(id, port,
                        static_cast<std::uint16_t>(
                            winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
-      ejectFlit(id, winnerIdx);
+      SWFT_EC_ADD(ejections, 1);
+      SWFT_EC_TSC_F(tEject, ejectFlit(id, winnerIdx));
     } else {
+      SWFT_EC_ADD(commits, 1);
       commitLink(id, port, winnerIdx);
     }
-  }
+  });
 }
 
 inline void Network::commitLink(NodeId id, int port, int winnerIdx) {

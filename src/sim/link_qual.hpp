@@ -1,17 +1,19 @@
-// The link-candidate qualification pass shared by the sparse engine's
-// batched link traversal (engine.cpp, PR 5) and the sparse-mt engine's
-// parallel candidate-card precomputation (engine_mt.cpp).
+// The link-candidate qualification pass and the round-robin pick, shared by
+// the sparse engine's batched link pass (engine.cpp) and the sparse-mt
+// engine's parallel candidate-card precomputation (engine_mt.cpp).
 //
 // Since the arena keeps freshness, downstream credit and port membership as
 // incrementally-maintained bitmaps (router_arena.hpp, DESIGN.md §8), the
-// pass is pure word arithmetic — no per-candidate loop, no credit callable:
+// pass is pure word arithmetic over a router row of W = occWordsPerRouter()
+// words (1..5: up to 17 ports x 16 VCs = 272 units) — no per-candidate
+// loop, no credit callable:
 //
 //   ok          = fresh & downOk            (fresh ⊆ occ, downOk ⊆ routed,
 //                                            so no extra live AND is needed)
-//   okp[port]   = ok & portMembers[port]    (SIMD sweep over the contiguous
-//                                            per-port membership rows)
-//   blocked     = fresh & routed & ~downOk  (optional: candidates stalled
-//                                            only on credit)
+//   okp[port]   = ok & portMembers[port]    (the per-port membership rows
+//                                            are contiguous, W words each)
+//   blocked     = fresh & routed & ~downOk  (optional, mt only: candidates
+//                                            stalled only on credit)
 //
 // The mt engine consumes `blocked` at P1: its baton re-checks exactly those
 // bits against virtual credits (size_ + sizeDelta_), keeping the callable
@@ -19,13 +21,10 @@
 // before its router's baton turn (pops by earlier routers free slots; the
 // only pusher into its downstream unit is this router itself, by output-VC
 // ownership), so qualified-at-snapshot candidates never need re-checking —
-// see DESIGN.md §6.
-//
-// The pass *assigns* okp[0..ports) — callers need no zeroing prelude.
-// occW == 1 configurations only (the generic multi-word path ANDs the same
-// rows word-by-word in the engines).
+// see DESIGN.md §6. The mt engine batches W == 1 configurations only.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -34,10 +33,73 @@
 
 namespace swft {
 
-/// One pass over router `id`'s qualification bitmaps: qualified candidate
-/// bits land in okp[port] (all `ports` rows assigned), and the returned mask
-/// has bit `port` set iff the port has at least one qualified candidate.
-/// When `blockedOut` is non-null it receives the fresh-but-credit-starved
+/// The port sweep over W-word rows: okp[p * W + w] = ok[w] & members[p * W
+/// + w] for p in [0, ports). Returns the mask with bit p set iff port p has
+/// a qualified candidate. Assigns every row — callers need no zeroing
+/// prelude. W == 1 is the SIMD sweep of simd.hpp (scalar/vector seam).
+template <int W>
+[[gnu::always_inline]] inline std::uint64_t qualifyPortRows(
+    const std::uint64_t* ok, const std::uint64_t* members, std::uint64_t* okp,
+    int ports) noexcept {
+  if constexpr (W == 1) {
+    return simd::qualifyPorts(ok[0], members, okp, ports);
+  } else {
+    std::uint64_t pm = 0;
+    for (int p = 0; p < ports; ++p) {
+      std::uint64_t any = 0;
+      for (int w = 0; w < W; ++w) {
+        const std::uint64_t q = ok[w] & members[p * W + w];
+        okp[p * W + w] = q;
+        any |= q;
+      }
+      pm |= static_cast<std::uint64_t>(any != 0) << p;
+    }
+    return pm;
+  }
+}
+
+/// The round-robin winner of one port: the first set bit of the W-word row
+/// in circular order from unit `cur`, i.e. the unit u minimising
+/// (u - cur) mod 64W — exactly the min-key winner of the dense reference's
+/// scan, since no bit at or above the router's unit count is ever set.
+/// Precondition: the row is nonzero and cur < 64W.
+template <int W>
+[[gnu::always_inline]] inline int pickRoundRobin(const std::uint64_t* row,
+                                                 int cur) noexcept {
+  if constexpr (W == 1) {
+    // rotr moves bit u to (u - cur) mod 64.
+    return (cur + std::countr_zero(std::rotr(row[0], cur))) & 63;
+  } else if constexpr (W == 2) {
+    // The same rotate on the 128-bit row; the left shift is masked so that
+    // cur == 0 ORs the row with itself instead of shifting by 128.
+    using U128 = unsigned __int128;
+    const U128 v = (static_cast<U128>(row[1]) << 64) | row[0];
+    const U128 rot = (v >> cur) | (v << ((128 - cur) & 127));
+    const auto lo = static_cast<std::uint64_t>(rot);
+    const auto hi = static_cast<std::uint64_t>(rot >> 64);
+    const int tz = lo != 0 ? std::countr_zero(lo) : 64 + std::countr_zero(hi);
+    return (cur + tz) & 127;
+  } else {
+    // Wrap scan: the cursor word from the cursor bit up, the words after it
+    // circularly, then the cursor word's bits below the cursor — all that
+    // is left of it once the first probe came up empty.
+    const int cw = cur >> 6;
+    const std::uint64_t head = row[cw] & (~0ULL << (cur & 63));
+    if (head != 0) return cw * 64 + std::countr_zero(head);
+    for (int k = 1; k < W; ++k) {
+      const int w = cw + k < W ? cw + k : cw + k - W;
+      if (row[w] != 0) return w * 64 + std::countr_zero(row[w]);
+    }
+    assert(row[cw] != 0);
+    return cw * 64 + std::countr_zero(row[cw]);
+  }
+}
+
+/// One pass over router `id`'s qualification bitmaps for a one-word router
+/// row (the sparse-mt engine's P1 precomputation): qualified candidate bits
+/// land in okp[port] (all `ports` rows assigned), and the returned mask has
+/// bit `port` set iff the port has at least one qualified candidate. When
+/// `blockedOut` is non-null it receives the fresh-but-credit-starved
 /// candidate bits. The ejection port's downstream is the arena's credit
 /// sink, whose creditOk_ bits are pinned set, so no candidate needs a
 /// locality branch.
@@ -51,7 +113,7 @@ namespace swft {
   if (blockedOut != nullptr) {
     *blockedOut = fresh & a.routedWords(id)[0] & ~downOk;
   }
-  return simd::qualifyPorts(ok, a.portMembers(id, 0), okp, ports);
+  return qualifyPortRows<1>(&ok, a.portMembers(id, 0), okp, ports);
 }
 
 }  // namespace swft

@@ -117,10 +117,15 @@ class Network {
   // its work bit; the event source re-arms it (generation: stepGeneration,
   // buffer drain: commitLink/ejectFlit).
   bool stepInjection(NodeId id);
-  // Single pass per router: route computation + VC allocation for unrouted
-  // headers, then the batched link pass (per-link switch arbitration fused
-  // with the traversal commit; see engine.cpp).
+  // Single pass per router over a router row of W occupancy words: route
+  // computation + VC allocation for unrouted headers, then the batched link
+  // pass (qualify every link once, then commit each live link's round-robin
+  // winner; see engine.cpp). The sparse walk picks the instantiation for the
+  // arena's row width once per cycle through stepRouterFor.
+  template <int W>
   void stepRouter(NodeId id);
+  using StepRouterFn = void (Network::*)(NodeId);
+  [[nodiscard]] static StepRouterFn stepRouterFor(int occWords) noexcept;
   // Winner commit for one network link: advance the round-robin cursor, pop
   // at the winner unit, push into the hoisted downstream unit, release the
   // route on tail departure. Force-inlined into stepRouter (its only caller)

@@ -209,9 +209,9 @@ class RouterArena {
            static_cast<std::size_t>(id) * static_cast<std::size_t>(occWords_);
   }
   /// Bit per unit: routed with outPort == `port` (switch requesters). The
-  /// `ports` rows of a router are contiguous: with one occupancy word per
-  /// router, portMembers(id, 0) is the base of a dense ports x 1 matrix the
-  /// SIMD port sweep strides through.
+  /// `ports` rows of a router are contiguous: portMembers(id, 0) is the base
+  /// of a dense ports x occWordsPerRouter() matrix the link pass's port
+  /// sweep strides through.
   [[nodiscard]] const std::uint64_t* portMembers(NodeId id, int port) const noexcept {
     return portMembers_.data() +
            (static_cast<std::size_t>(id) * static_cast<std::size_t>(totalPorts_) +

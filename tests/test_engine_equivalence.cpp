@@ -30,38 +30,48 @@ struct EngineCase {
   RoutingMode routing;
   int randomFaults;
   double rate;
+  bool fig7Shape;
 };
 
+// Eight corners on an 8-ary 2-cube with V = 4 and M = 16 (20 input units per
+// router, a one-word row), plus the paper's fig7 shape: an 8-ary 3-cube with
+// V = 10 and M = 32, whose 70-unit routers run the link pass on a two-word
+// row, at fig7's λ = 0.01 with enough messages to load the network.
 const EngineCase kCases[] = {
     {"uniform_det_faultfree", TrafficPattern::Uniform, RoutingMode::Deterministic, 0,
-     0.006},
+     0.006, false},
     {"uniform_det_faulty", TrafficPattern::Uniform, RoutingMode::Deterministic, 5,
-     0.005},
-    {"uniform_adp_faultfree", TrafficPattern::Uniform, RoutingMode::Adaptive, 0, 0.006},
-    {"uniform_adp_faulty", TrafficPattern::Uniform, RoutingMode::Adaptive, 5, 0.005},
+     0.005, false},
+    {"uniform_adp_faultfree", TrafficPattern::Uniform, RoutingMode::Adaptive, 0, 0.006,
+     false},
+    {"uniform_adp_faulty", TrafficPattern::Uniform, RoutingMode::Adaptive, 5, 0.005,
+     false},
     {"transpose_det_faultfree", TrafficPattern::Transpose, RoutingMode::Deterministic,
-     0, 0.006},
+     0, 0.006, false},
     {"transpose_det_faulty", TrafficPattern::Transpose, RoutingMode::Deterministic, 5,
-     0.005},
+     0.005, false},
     {"transpose_adp_faultfree", TrafficPattern::Transpose, RoutingMode::Adaptive, 0,
-     0.006},
+     0.006, false},
     {"transpose_adp_faulty", TrafficPattern::Transpose, RoutingMode::Adaptive, 5,
-     0.005},
+     0.005, false},
+    {"fig7_det_faulty", TrafficPattern::Uniform, RoutingMode::Deterministic, 6, 0.01,
+     true},
+    {"fig7_adp_faulty", TrafficPattern::Uniform, RoutingMode::Adaptive, 6, 0.01, true},
 };
 
 SimConfig caseConfig(const EngineCase& c) {
   SimConfig cfg;
   cfg.radix = 8;
-  cfg.dims = 2;
-  cfg.vcs = 4;
-  cfg.messageLength = 16;
+  cfg.dims = c.fig7Shape ? 3 : 2;
+  cfg.vcs = c.fig7Shape ? 10 : 4;
+  cfg.messageLength = c.fig7Shape ? 32 : 16;
   cfg.pattern = c.pattern;
   cfg.routing = c.routing;
   cfg.faults.randomNodes = c.randomFaults;
   cfg.injectionRate = c.rate;
   cfg.reinjectDelay = c.randomFaults > 0 ? 20 : 0;  // exercise readyCycle
   cfg.warmupMessages = 200;
-  cfg.measuredMessages = 700;
+  cfg.measuredMessages = c.fig7Shape ? 3000 : 700;
   cfg.maxCycles = 400'000;
   cfg.seed = 7;
   return cfg;
@@ -138,7 +148,9 @@ INSTANTIATE_TEST_SUITE_P(Matrix, EngineEquivalence, ::testing::ValuesIn(kCases),
 // The first and last rows date from the PR that introduced the event-sparse
 // engine; the other six were recorded — from the dense oracle, unchanged by
 // that PR — when the batched link pass landed, so every matrix corner is now
-// pinned, not just compared engine-to-engine. Any change to these numbers
+// pinned, not just compared engine-to-engine. The two fig7 rows were recorded
+// from the dense oracle (the sparse engine agreed) before the link pass
+// covered multi-word router rows. Any change to these numbers
 // means the engine's observable behaviour drifted — deliberate changes must
 // re-record and justify in the commit message.
 struct GoldenRecord {
@@ -162,6 +174,8 @@ const GoldenRecord kGolden[] = {
     {"transpose_det_faulty",    3864, 906, 900, 700, 442, 52.297142857142823, 5.654285714285713},
     {"transpose_adp_faultfree", 2712, 910, 900, 700,   0, 25.731428571428562, 4.742857142857142},
     {"transpose_adp_faulty",    3849, 904, 900, 700, 157, 34.092857142857142, 5.1085714285714285},
+    {"fig7_det_faulty",          784, 3950, 3202, 3003, 228, 110.41258741258741, 6.0379620379620356},
+    {"fig7_adp_faulty",          772, 3899, 3203, 3003,  45, 116.14352314352305, 5.9597069597069678},
 };
 // clang-format on
 

@@ -1,12 +1,13 @@
 // Differential fuzz harness: the sparse engine's equivalence contract,
 // stress-tested over randomized configurations.
 //
-// The hand-picked matrix in test_engine_equivalence.cpp pins eight
+// The hand-picked matrix in test_engine_equivalence.cpp pins ten
 // representative corners; this suite draws a few hundred random points from
-// the full configuration space (topology size and dimensionality, VC counts,
-// buffer depths, routing mode, every traffic pattern, fault counts, router
-// decision time, message lengths, injection rates) and runs each under all
-// three engines to completion — dense, sparse, and sparse-mt twice, with
+// the full configuration space (topology size and dimensionality, VC counts
+// including routers wider than one and two 64-bit rows, buffer depths,
+// routing mode, every traffic pattern, fault counts, router decision time,
+// message lengths, injection rates) and runs each under all three engines to
+// completion — dense, sparse, and sparse-mt twice, with
 // sim_threads axes cycling {1, 2, 3, 8} and {2, 5, 8} — requiring
 // bit-identical SimResults: exact double equality, no tolerance.
 //
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -68,23 +70,52 @@ std::string reproString(const SimConfig& cfg) {
   return os.str();
 }
 
+/// Router input units per node: (2n + 1) ports x V VCs.
+int unitsPerRouter(const SimConfig& cfg) { return (2 * cfg.dims + 1) * cfg.vcs; }
+
 /// Draw one random-but-bounded configuration. Node counts stay <= ~256 and
 /// maxCycles is capped so a full 200-config sweep finishes in minutes, while
 /// still crossing every engine code path: wormhole streaming, VC allocation
-/// under contention, credit backpressure (depth 1), multi-word occupancy
-/// (vcs * ports > 64), faults with software-layer absorption/reinjection,
-/// non-zero router decision time (exact-arrival mode), and saturated points
-/// that stop on max_cycles instead of the delivery target.
-SimConfig drawConfig(Rng& rng) {
+/// under contention, credit backpressure (depth 1), faults with
+/// software-layer absorption/reinjection, non-zero router decision time
+/// (exact-arrival mode), and saturated points that stop on max_cycles
+/// instead of the delivery target.
+///
+/// Every fifth index (index % 5 == 0) draws a wide router — more than 64
+/// input units, so the link pass runs on a multi-word row, as in the
+/// paper's 8-ary 3-cube with V = 10. Every other wide draw exceeds 128 units
+/// (a 3-ary 4-cube with V in [15, 16], three or more row words); the
+/// alternation period of 4 makes both widths meet both SIMD modes of the
+/// scalar-vs-vector axis. The other indices draw narrow routers (V in
+/// [2, 6]).
+SimConfig drawConfig(Rng& rng, std::uint64_t index) {
   SimConfig cfg;
-  cfg.dims = 1 + static_cast<int>(rng.uniform(4));  // n in [1, 4]
+  const bool wide = index % 5 == 0;
+  const bool over128 = wide && (index / 5) % 4 != 1 && (index / 5) % 4 != 2;
+  if (over128) {
+    cfg.dims = 4;
+  } else if (wide) {
+    cfg.dims = 2 + static_cast<int>(rng.uniform(3));  // n in [2, 4]
+  } else {
+    cfg.dims = 1 + static_cast<int>(rng.uniform(4));  // n in [1, 4]
+  }
   switch (cfg.dims) {
     case 1: cfg.radix = 4 + static_cast<int>(rng.uniform(13)); break;  // k in [4, 16]
     case 2: cfg.radix = 3 + static_cast<int>(rng.uniform(10)); break;  // k in [3, 12]
     case 3: cfg.radix = 3 + static_cast<int>(rng.uniform(4));  break;  // k in [3, 6]
     default: cfg.radix = 3; break;                                     // 3-ary 4-cube
   }
-  cfg.vcs = 2 + static_cast<int>(rng.uniform(5));  // V in [2, 6]
+  if (over128) {
+    cfg.vcs = 15 + static_cast<int>(rng.uniform(2));  // 135 or 144 units
+  } else if (wide) {
+    // V in [ceil(65 / ports), min(16, 128 / ports)]: 65..128 units.
+    const int ports = 2 * cfg.dims + 1;
+    const int lo = (65 + ports - 1) / ports;
+    const int hi = std::min(16, 128 / ports);
+    cfg.vcs = lo + static_cast<int>(rng.uniform(static_cast<std::uint32_t>(hi - lo + 1)));
+  } else {
+    cfg.vcs = 2 + static_cast<int>(rng.uniform(5));  // V in [2, 6]
+  }
   // VcPartition: escapeVcs even, in [2, V].
   cfg.escapeVcs = 2 * (1 + static_cast<int>(rng.uniform(
                                static_cast<std::uint32_t>(cfg.vcs / 2))));
@@ -152,6 +183,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   const std::uint64_t baseSeed = envU64("SWFT_FUZZ_SEED", 20060425);
 
   std::uint64_t ran = 0, skippedDisconnected = 0;
+  std::uint64_t ranOver64 = 0, ranOver128 = 0;  // compared configs by router width
   std::uint64_t totalDelivered = 0, completedRuns = 0;
   // Scalar-vs-vector rotation axis: odd indices force the SIMD layer's
   // scalar fallback for the sparse and mt runs of that config. The dense
@@ -165,7 +197,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
     simd::setForceScalar(forcedScalar);
     Rng rng(baseSeed);
     rng = rng.split(i);
-    SimConfig cfg = drawConfig(rng);
+    SimConfig cfg = drawConfig(rng, i);
     const std::string repro =
         "repro: " + reproString(cfg) + "  (fuzz index " + std::to_string(i) +
         ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) +
@@ -215,6 +247,8 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
                     repro + " engine=sparse-mt sim_threads=" +
                         std::to_string(simThreads2));
     ++ran;
+    if (unitsPerRouter(cfg) > 64) ++ranOver64;
+    if (unitsPerRouter(cfg) > 128) ++ranOver128;
     totalDelivered += dense.deliveredMeasured;
     if (dense.completed) ++completedRuns;
 
@@ -227,11 +261,19 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   RecordProperty("configs_compared", static_cast<int>(ran));
   RecordProperty("configs_disconnected", static_cast<int>(skippedDisconnected));
   RecordProperty("configs_completed", static_cast<int>(completedRuns));
+  RecordProperty("configs_over_64_units", static_cast<int>(ranOver64));
+  RecordProperty("configs_over_128_units", static_cast<int>(ranOver128));
   // The sweep must mostly exercise real runs, not degenerate rejects, and
   // the comparisons must not be vacuous: messages actually flowed.
   EXPECT_GE(ran * 2, configs);
   EXPECT_GT(totalDelivered, 0u);
   EXPECT_GE(completedRuns * 4, ran);
+  // Indices 0 (over 128 units) and 5 (65..128 units) are wide draws, so any
+  // sweep past index 5 must have compared both row widths.
+  if (configs > 5) {
+    EXPECT_GT(ranOver64, ranOver128);
+    EXPECT_GT(ranOver128, 0u);
+  }
 }
 
 }  // namespace
