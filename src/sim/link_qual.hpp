@@ -69,16 +69,6 @@ template <int W>
   if constexpr (W == 1) {
     // rotr moves bit u to (u - cur) mod 64.
     return (cur + std::countr_zero(std::rotr(row[0], cur))) & 63;
-  } else if constexpr (W == 2) {
-    // The same rotate on the 128-bit row; the left shift is masked so that
-    // cur == 0 ORs the row with itself instead of shifting by 128.
-    using U128 = unsigned __int128;
-    const U128 v = (static_cast<U128>(row[1]) << 64) | row[0];
-    const U128 rot = (v >> cur) | (v << ((128 - cur) & 127));
-    const auto lo = static_cast<std::uint64_t>(rot);
-    const auto hi = static_cast<std::uint64_t>(rot >> 64);
-    const int tz = lo != 0 ? std::countr_zero(lo) : 64 + std::countr_zero(hi);
-    return (cur + tz) & 127;
   } else {
     // Wrap scan: the cursor word from the cursor bit up, the words after it
     // circularly, then the cursor word's bits below the cursor — all that

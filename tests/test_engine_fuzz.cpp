@@ -136,6 +136,8 @@ SimConfig drawConfig(Rng& rng, std::uint64_t index) {
   cfg.routing = rng.bernoulli(0.5) ? RoutingMode::Adaptive : RoutingMode::Deterministic;
   if (rng.bernoulli(0.4)) {
     cfg.faults.randomNodes = 1 + static_cast<int>(rng.uniform(4));
+    // Only a 4-node ring has as few nodes as faults; keep one node healthy.
+    if (cfg.dims == 1) cfg.faults.randomNodes = std::min(cfg.faults.randomNodes, cfg.radix - 1);
     cfg.reinjectDelay = static_cast<int>(rng.uniform(31));
     // Occasionally a tiny threshold so the Valiant escalation path fires.
     if (rng.bernoulli(0.25)) cfg.livelockThreshold = 8;
@@ -182,7 +184,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   const std::uint64_t configs = envU64("SWFT_FUZZ_CONFIGS", 200);
   const std::uint64_t baseSeed = envU64("SWFT_FUZZ_SEED", 20060425);
 
-  std::uint64_t ran = 0, skippedDisconnected = 0;
+  std::uint64_t ran = 0, disconnected = 0;
   std::uint64_t ranOver64 = 0, ranOver128 = 0;  // compared configs by router width
   std::uint64_t totalDelivered = 0, completedRuns = 0;
   // Scalar-vs-vector rotation axis: odd indices force the SIMD layer's
@@ -198,10 +200,12 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
     Rng rng(baseSeed);
     rng = rng.split(i);
     SimConfig cfg = drawConfig(rng, i);
-    const std::string repro =
-        "repro: " + reproString(cfg) + "  (fuzz index " + std::to_string(i) +
-        ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) +
-        (forcedScalar ? ", SWFT_FORCE_SCALAR=1" : "") + ")";
+    const auto reproOf = [&](const SimConfig& c) {
+      return "repro: " + reproString(c) + "  (fuzz index " + std::to_string(i) +
+             ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) +
+             (forcedScalar ? ", SWFT_FORCE_SCALAR=1" : "") + ")";
+    };
+    std::string repro = reproOf(cfg);
 
     // sim_threads axis for the sparse-mt run: rotate through single-domain,
     // small odd/even splits, and a count that often exceeds small tori (the
@@ -221,8 +225,14 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
       cfg.engine = EngineKind::SparseMt;
       cfg.simThreads = simThreads;
       EXPECT_THROW((void)runSimulation(cfg), std::runtime_error) << repro;
-      ++skippedDisconnected;
-      continue;
+      ++disconnected;
+      // A wide draw is the sweep's coverage of its row width, so it is
+      // compared fault-free instead of skipped.
+      if (unitsPerRouter(cfg) <= 64) continue;
+      cfg.faults = FaultSpec{};
+      cfg.engine = EngineKind::Dense;
+      repro = reproOf(cfg);
+      dense = runSimulation(cfg);
     }
     cfg.engine = EngineKind::Sparse;
     const SimResult sparse = runSimulation(cfg);
@@ -259,7 +269,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   }
   simd::setForceScalar(envForcedScalar);
   RecordProperty("configs_compared", static_cast<int>(ran));
-  RecordProperty("configs_disconnected", static_cast<int>(skippedDisconnected));
+  RecordProperty("configs_disconnected", static_cast<int>(disconnected));
   RecordProperty("configs_completed", static_cast<int>(completedRuns));
   RecordProperty("configs_over_64_units", static_cast<int>(ranOver64));
   RecordProperty("configs_over_128_units", static_cast<int>(ranOver128));
@@ -268,8 +278,8 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   EXPECT_GE(ran * 2, configs);
   EXPECT_GT(totalDelivered, 0u);
   EXPECT_GE(completedRuns * 4, ran);
-  // Indices 0 (over 128 units) and 5 (65..128 units) are wide draws, so any
-  // sweep past index 5 must have compared both row widths.
+  // Indices 0 (over 128 units) and 5 (65..128 units) are wide draws and are
+  // always compared, so any sweep past index 5 covers both row widths.
   if (configs > 5) {
     EXPECT_GT(ranOver64, ranOver128);
     EXPECT_GT(ranOver128, 0u);
