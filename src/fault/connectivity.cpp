@@ -30,7 +30,15 @@ std::size_t bfs(const FaultSet& faults, NodeId start, std::vector<std::uint8_t>&
 }  // namespace
 
 bool healthyNetworkConnected(const FaultSet& faults) {
-  return healthyComponentCount(faults) <= 1;
+  // One BFS from the first healthy node must reach every healthy node.
+  const TorusTopology& topo = faults.topology();
+  const std::size_t healthy =
+      topo.nodeCount() - static_cast<std::size_t>(faults.faultyNodeCount());
+  if (healthy == 0) return true;
+  NodeId start = 0;
+  while (faults.nodeFaulty(start)) ++start;
+  std::vector<std::uint8_t> visited(topo.nodeCount(), 0);
+  return bfs(faults, start, visited) == healthy;
 }
 
 int healthyComponentCount(const FaultSet& faults) {

@@ -16,16 +16,14 @@ void FaultSet::failNode(NodeId id) {
   // All links incident on the node are unusable from both sides.
   for (int port = 0; port < topo_->networkPorts(); ++port) {
     linkFaulty_[linkIndex(id, port)] = 1;
-    const NodeId nb = topo_->neighbor(id, port);
-    const int back = portOf(dimOfPort(port), opposite(dirOfPort(port)));
-    linkFaulty_[linkIndex(nb, back)] = 1;
+    linkFaulty_[linkIndex(topo_->neighbor(id, port), reversePort(port))] = 1;
   }
 }
 
 void FaultSet::failLink(NodeId id, int dim, Dir dir) {
-  linkFaulty_[linkIndex(id, portOf(dim, dir))] = 1;
-  const NodeId nb = topo_->neighbor(id, dim, dir);
-  linkFaulty_[linkIndex(nb, portOf(dim, opposite(dir)))] = 1;
+  const int port = portOf(dim, dir);
+  linkFaulty_[linkIndex(id, port)] = 1;
+  linkFaulty_[linkIndex(topo_->neighbor(id, port), reversePort(port))] = 1;
 }
 
 std::vector<NodeId> FaultSet::faultyNodes() const {

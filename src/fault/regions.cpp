@@ -185,22 +185,22 @@ std::vector<NodeId> applyRandomNodeFaults(FaultSet& faults, int count, Rng& rng,
                                           int maxAttempts) {
   const TorusTopology& topo = faults.topology();
   if (count == 0) return {};
-  if (count < 0 || static_cast<NodeId>(count) >= topo.nodeCount()) {
+  const NodeId healthy = topo.nodeCount() - static_cast<NodeId>(faults.faultyNodeCount());
+  if (count < 0 || static_cast<NodeId>(count) >= healthy) {
     throw std::invalid_argument("applyRandomNodeFaults: bad count");
   }
   for (int attempt = 0; attempt < maxAttempts; ++attempt) {
-    // Draw a candidate set, then validate connectivity on a scratch fault set.
-    FaultSet trial(topo);
+    // Draw a candidate set on a copy of every existing fault (nodes and
+    // links), so the connectivity check sees the final pattern.
+    FaultSet trial = faults;
     std::vector<NodeId> chosen;
     chosen.reserve(static_cast<std::size_t>(count));
     while (static_cast<int>(chosen.size()) < count) {
       const NodeId id = rng.uniform(topo.nodeCount());
-      if (faults.nodeFaulty(id) || trial.nodeFaulty(id)) continue;
+      if (trial.nodeFaulty(id)) continue;
       trial.failNode(id);
       chosen.push_back(id);
     }
-    // Also respect pre-existing faults when validating.
-    for (NodeId id : faults.faultyNodes()) trial.failNode(id);
     if (!healthyNetworkConnected(trial)) continue;
     for (NodeId id : chosen) faults.failNode(id);
     return chosen;

@@ -65,8 +65,11 @@ std::vector<NodeId> applyRegion(FaultSet& faults, const RegionSpec& spec);
 [[nodiscard]] RegionSpec fig5U8(const TorusTopology& topo);       // base 4, arms 3, 8 nodes
 
 /// Fail `count` random healthy nodes such that the surviving network stays
-/// connected and no healthy node is fully isolated. Returns the failed nodes.
-/// Throws if a valid placement cannot be found within `maxAttempts`.
+/// connected and no healthy node is fully isolated. Each draw is checked
+/// together with every fault already in `faults` (nodes and links), so the
+/// result is the final, validated pattern. Returns the failed nodes.
+/// Throws std::invalid_argument unless 0 <= count < healthy nodes, and
+/// std::runtime_error if no valid placement is found within `maxAttempts`.
 std::vector<NodeId> applyRandomNodeFaults(FaultSet& faults, int count, Rng& rng,
                                           int maxAttempts = 1000);
 

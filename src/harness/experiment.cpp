@@ -136,6 +136,14 @@ ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
   if (opt.phaseTimers) {
     for (SweepPoint& p : points) p.cfg.phaseTimers = true;
   }
+  // Refuse a bad point before it can reach the cache or the pool.
+  for (const SweepPoint& p : points) {
+    try {
+      validate(p.cfg);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(spec.name + "/" + p.label + ": " + e.what());
+    }
+  }
 
   // Resolve and create the artifact directory (and the cache store) before
   // any point simulates: a bad --out/--cache-dir must fail in milliseconds,

@@ -211,14 +211,11 @@ void SoftwareLayer::handleBlocked(Message& msg, NodeId at, int dim, int step, Rn
 
   // Walk up to `len` hops in the detour direction, stopping at the last
   // healthy node (the first hop is healthy: the link is).
-  Coordinates ic = cc;
+  const int detourPort = portOf(detourDim, detourStep > 0 ? Dir::Pos : Dir::Neg);
   NodeId inter = at;
   for (int i = 0; i < len; ++i) {
-    Coordinates next = ic;
-    next[detourDim] = topo_->space().wrap(next[detourDim] + detourStep);
-    const NodeId nid = topo_->idOf(next);
+    const NodeId nid = topo_->neighbor(inter, detourPort);
     if (faults_->nodeFaulty(nid)) break;
-    ic = next;
     inter = nid;
   }
   assert(inter != at && "detour link was healthy, first hop must succeed");
@@ -238,11 +235,11 @@ void SoftwareLayer::handleBlocked(Message& msg, NodeId at, int dim, int step, Rn
   msg.pendingTarget = kInvalidNode;
   if (detourDim < dim) {
     const int k = topo_->radix();
+    const int blockedPort = portOf(dim, blockedDir);
     for (const int adv : {2, 3, 1, 4, 5, 6}) {
       if (adv >= k) continue;
-      Coordinates rc = ic;
-      rc[dim] = topo_->space().wrap(rc[dim] + adv * step);
-      const NodeId leg2 = topo_->idOf(rc);
+      NodeId leg2 = inter;
+      for (int i = 0; i < adv; ++i) leg2 = topo_->neighbor(leg2, blockedPort);
       if (!faults_->nodeFaulty(leg2)) {
         msg.pendingTarget = leg2;
         break;

@@ -1,6 +1,7 @@
 #include "src/sim/config_parse.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -162,6 +163,31 @@ void validate(const SimConfig& cfg) {
   if (cfg.messageLength < 1 || cfg.messageLength > kMaxMessageLength) {
     fail("config: msg_length must be in 1.." + std::to_string(kMaxMessageLength) +
          ", got " + std::to_string(cfg.messageLength));
+  }
+  if (!std::isfinite(cfg.injectionRate) || cfg.injectionRate < 0.0 ||
+      cfg.injectionRate > 1.0) {
+    std::ostringstream got;
+    got << cfg.injectionRate;
+    fail("config: rate must be a finite number in [0, 1], got " + got.str());
+  }
+  if (cfg.routerDecisionTime < 0) {
+    fail("config: td must be >= 0, got " + std::to_string(cfg.routerDecisionTime));
+  }
+  if (cfg.reinjectDelay < 0) {
+    fail("config: delta must be >= 0, got " + std::to_string(cfg.reinjectDelay));
+  }
+  // At least two nodes must stay healthy. An out-of-range k or n is left to
+  // the topology, which names it.
+  if (cfg.radix >= 2 && cfg.dims >= 1 && cfg.dims <= kMaxDims) {
+    std::int64_t nodes = 1;
+    for (int d = 0; d < cfg.dims && nodes <= (std::int64_t{1} << 30); ++d) nodes *= cfg.radix;
+    if (cfg.faults.randomNodes < 0 || cfg.faults.randomNodes > nodes - 2) {
+      fail("config: nf must be in 0.." + std::to_string(nodes - 2) + " for a " +
+           std::to_string(nodes) + "-node torus, got " +
+           std::to_string(cfg.faults.randomNodes));
+    }
+  } else if (cfg.faults.randomNodes < 0) {
+    fail("config: nf must be >= 0, got " + std::to_string(cfg.faults.randomNodes));
   }
 }
 

@@ -468,13 +468,13 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
   if (flit.isHeader()) {
     Message& msg = pool_.get(flit.msg);
     ++msg.hops;
-    if (cachedWrap(id, port)) msg.setWrapped(dimOfPort(port));
+    if (topo_.isWrapLink(id, port)) msg.setWrapped(dimOfPort(port));
     if (trace_ != nullptr) {
       emitTrace({TraceEvent::Kind::Hop, cycle_, id,
                  static_cast<std::uint8_t>(port), msg.seq});
     }
   }
-  SWFT_EC_TSC_F(tPush, arena_.push(cachedNeighbor(id, port),
+  SWFT_EC_TSC_F(tPush, arena_.push(topo_.neighbor(id, port),
                                  cachedDownBase(id, port) + outVc, flit,
                                  cycle_));
 

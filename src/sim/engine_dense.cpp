@@ -191,7 +191,7 @@ void Network::stepRouterDense(NodeId id) {
       const int port = unit.outPort;
       if (port != localPort) {
         // Credit check: the downstream input buffer must have a free slot.
-        const RouterState& downRouter = legacy_[cachedNeighbor(id, port)];
+        const RouterState& downRouter = legacy_[topo_.neighbor(id, port)];
         if (downRouter.unit((port ^ 1) * cfg_.vcs + unit.outVc).buf.full()) continue;
       }
       // Round-robin key relative to the port cursor (branch beats modulo).
@@ -220,13 +220,13 @@ void Network::stepRouterDense(NodeId id) {
     Message& msg = pool_.get(flit.msg);
     if (flit.isHeader()) {
       ++msg.hops;
-      if (cachedWrap(id, port)) msg.setWrapped(dimOfPort(port));
+      if (topo_.isWrapLink(id, port)) msg.setWrapped(dimOfPort(port));
       if (trace_ != nullptr) {
         trace_->record({TraceEvent::Kind::Hop, cycle_, id,
                         static_cast<std::uint8_t>(port), msg.seq});
       }
     }
-    RouterState& downRouter = legacy_[cachedNeighbor(id, port)];
+    RouterState& downRouter = legacy_[topo_.neighbor(id, port)];
     const int downUnitIdx = downRouter.unitIndex(port ^ 1, unit.outVc);
     InputUnit& downUnit = downRouter.unit(downUnitIdx);
     const bool wasEmpty = downUnit.buf.empty();

@@ -316,13 +316,13 @@ void MtEngine::buildLinkCards(int d) {
           const Flit f = a.front(g);
           const std::uint8_t ov = a.outVc(g);
           const std::int32_t du = n.cachedDownBase(id, p) + ov;
-          const NodeId down = n.cachedNeighbor(id, p);
+          const NodeId down = n.topo_.neighbor(id, p);
           std::uint8_t flags = 0;
           std::uint16_t sizeP1du = 0;
           std::uint8_t dim = 0;
           if (f.isHeader()) {
             flags |= kCrHeader;
-            if (n.cachedWrap(id, p)) flags |= kCrWrap;
+            if (n.topo_.isWrapLink(id, p)) flags |= kCrWrap;
             sizeP1du = static_cast<std::uint16_t>(a.size(du));
             dim = static_cast<std::uint8_t>(dimOfPort(p));
           }
@@ -332,7 +332,7 @@ void MtEngine::buildLinkCards(int d) {
           std::int32_t wakeNbr = -1;
           if (win < injUnitFloor_ && a.size(g) == fullDepth) {
             wakeNbr = static_cast<std::int32_t>(
-                n.cachedNeighbor(id, portOfUnit_[static_cast<std::size_t>(win)]));
+                n.topo_.neighbor(id, portOfUnit_[static_cast<std::size_t>(win)]));
           }
           stage.push_back({f, static_cast<std::int32_t>(g), du, down, wakeNbr,
                            sizeP1du, static_cast<std::uint8_t>(p),
@@ -482,7 +482,7 @@ void MtEngine::wakeUpstream(NodeId id, int unitIdx) {
   // frozen until P3, so a unit not full at P1 is not full at any turn).
   const int g = net_.arena_.base(id) + unitIdx;
   if (net_.arena_.size(g) != net_.arena_.depth()) return;
-  lqMeta_[static_cast<std::size_t>(net_.cachedNeighbor(id, port)) * kMStride +
+  lqMeta_[static_cast<std::size_t>(net_.topo_.neighbor(id, port)) * kMStride +
           kMWake] = net_.cycle_ + 1;
 }
 
@@ -768,10 +768,10 @@ void MtEngine::commitLinkMt(NodeId id, int port, int winnerIdx) {
   n.lastMovementCycle_ = n.cycle_;
   if (winnerIdx >= injUnitFloor_) n.markNodeWork(id);
 
-  const NodeId down = n.cachedNeighbor(id, port);
+  const NodeId down = n.topo_.neighbor(id, port);
   const std::int32_t du = n.cachedDownBase(id, port) + outVc;
   if (flit.isHeader()) {
-    const bool wrap = n.cachedWrap(id, port);
+    const bool wrap = n.topo_.isWrapLink(id, port);
     const auto dim = static_cast<std::uint8_t>(dimOfPort(port));
     if (a.size(du) + sizeDelta_[du] == 0) {
       // The header becomes the downstream unit's front (deferPush will

@@ -5,8 +5,10 @@
 // is no. The calendar keys each node on its `nextGenCycle`: a ring of
 // single-cycle buckets covers the next `kWindow` cycles, and arrivals beyond
 // the window sit in an overflow list that is re-sifted each time the window
-// advances (classic calendar-queue design). Geometric inter-arrival gaps at
-// paper rates are well under the window, so the overflow path is cold.
+// advances (classic calendar-queue design). The overflow path is not cold:
+// the mean geometric gap is 1/lambda cycles, so at lambda = 5e-3 most nodes
+// fit the 1,024-cycle window, but at lambda = 5e-5 (20,000 cycles) nearly
+// every node waits in overflow and each window advance re-sifts the list.
 //
 // Determinism contract: `takeDue(cycle)` returns the due nodes sorted by
 // ascending id, so the engine processes them in exactly the order the dense

@@ -19,8 +19,11 @@ FaultSet buildFaults(const TorusTopology& topo, const FaultSpec& spec, Rng rng) 
                     link[2] == 0 ? Dir::Pos : Dir::Neg);
   }
   for (const RegionSpec& region : spec.regions) applyRegion(faults, region);
-  if (spec.randomNodes > 0) applyRandomNodeFaults(faults, spec.randomNodes, rng);
-  if (!spec.empty() && !healthyNetworkConnected(faults)) {
+  // Random placement runs last and validates the final pattern itself, so
+  // the connectivity check here is needed only when it did not run.
+  if (spec.randomNodes > 0) {
+    applyRandomNodeFaults(faults, spec.randomNodes, rng);
+  } else if (!spec.empty() && !healthyNetworkConnected(faults)) {
     throw std::runtime_error("Network: fault pattern disconnects the network");
   }
   return faults;
@@ -70,32 +73,20 @@ Network::Network(const SimConfig& cfg)
     }
     nodes_.push_back(std::move(node));
   }
-  healthyNodeCount_ = faults_.healthyNodes().size();
+  healthyNodeCount_ = topo_.nodeCount() - static_cast<std::size_t>(faults_.faultyNodeCount());
   networkPorts_ = topo_.networkPorts();
-  nbr_.resize(static_cast<std::size_t>(topo_.nodeCount()) *
-              static_cast<std::size_t>(networkPorts_));
-  wrapBit_.resize(nbr_.size());
   // downBase_ has a row per *total* port: the ejection port's entry points at
   // the arena's always-zero credit sink, so the link-qualification loop can
   // read a downstream size row for every port without branching on locality.
   downBase_.resize(static_cast<std::size_t>(topo_.nodeCount()) *
                    static_cast<std::size_t>(networkPorts_ + 1));
-  for (NodeId id = 0; id < topo_.nodeCount(); ++id) {
+  std::int32_t* down = downBase_.data();
+  for (NodeId id = 0; id < topo_.nodeCount(); ++id, down += networkPorts_ + 1) {
     for (int port = 0; port < networkPorts_; ++port) {
-      const std::size_t idx =
-          static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
-          static_cast<std::size_t>(port);
-      nbr_[idx] = topo_.neighbor(id, port);
-      wrapBit_[idx] = topo_.isWrapLink(id, dimOfPort(port), dirOfPort(port)) ? 1 : 0;
-      downBase_[static_cast<std::size_t>(id) *
-                    static_cast<std::size_t>(networkPorts_ + 1) +
-                static_cast<std::size_t>(port)] =
-          static_cast<std::int32_t>(arena_.base(nbr_[idx]) + (port ^ 1) * cfg.vcs);
+      down[port] = static_cast<std::int32_t>(arena_.base(topo_.neighbor(id, port)) +
+                                             reversePort(port) * cfg.vcs);
     }
-    downBase_[static_cast<std::size_t>(id) *
-                  static_cast<std::size_t>(networkPorts_ + 1) +
-              static_cast<std::size_t>(networkPorts_)] =
-        static_cast<std::int32_t>(arena_.creditSinkBase());
+    down[networkPorts_] = static_cast<std::int32_t>(arena_.creditSinkBase());
   }
   if (cfg.warmupMessages == 0) {
     windowOpen_ = true;

@@ -140,15 +140,6 @@ class Network {
   [[nodiscard]] std::string validateLegacyRouters() const;
   [[nodiscard]] std::string validateArenaRouters() const;
 
-  [[nodiscard]] NodeId cachedNeighbor(NodeId id, int port) const noexcept {
-    return nbr_[static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
-                static_cast<std::size_t>(port)];
-  }
-  [[nodiscard]] bool cachedWrap(NodeId id, int port) const noexcept {
-    return wrapBit_[static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
-                    static_cast<std::size_t>(port)] != 0;
-  }
-
   void routeHeader(NodeId id, int unitIdx);
   // routeHeader split for the sparse-mt engine: the pure route computation
   // (safe to precompute in a parallel phase) and the mutating part (route
@@ -195,12 +186,10 @@ class Network {
   GenCalendar calendar_;
   std::vector<std::uint64_t> nodeWork_;
 
-  // Hot-path topology caches (one entry per node x network port).
+  // Hot-path arena cache; neighbours and wrap bits come from topo_'s port map.
   int networkPorts_ = 0;
-  std::vector<NodeId> nbr_;
-  std::vector<std::uint8_t> wrapBit_;
   // Arena base of the downstream input-port units reached through (id, port):
-  // neighbor * unitsPerRouter + (port ^ 1) * vcs. Adding outVc yields the
+  // neighbor * unitsPerRouter + reversePort(port) * vcs. Adding outVc yields the
   // downstream unit in one add — the credit check needs no multiplies. The
   // ejection port's entry is the arena's always-zero credit sink (the PE
   // always accepts), so the row exists for every port of the router.

@@ -1,21 +1,33 @@
 #include "src/topology/torus.hpp"
 
+#include <array>
 #include <cstdlib>
 
 namespace swft {
 
-TorusTopology::TorusTopology(int radix, int dims) : space_(radix, dims) {}
+static_assert(2 * kMaxDims <= 16, "wrapPorts_ holds one bit per network port");
 
-NodeId TorusTopology::neighbor(NodeId id, int dim, Dir dir) const noexcept {
-  Coordinates c = coordsOf(id);
-  c[dim] = space_.wrap(c[dim] + dirStep(dir));
-  return idOf(c);
-}
-
-bool TorusTopology::isWrapLink(NodeId id, int dim, Dir dir) const noexcept {
-  const Coordinates c = coordsOf(id);
-  if (dir == Dir::Pos) return c[dim] == radix() - 1;
-  return c[dim] == 0;
+TorusTopology::TorusTopology(int radix, int dims)
+    : space_(radix, dims), wrapPorts_(space_.nodeCount()) {
+  const auto k = static_cast<NodeId>(radix);
+  NodeId stride = 1;  // k^d
+  for (int d = 0; d < dims; ++d, stride *= k) {
+    const NodeId wrapSpan = (k - 1) * stride;
+    idStep_[portOf(d, Dir::Pos)] = {stride, NodeId{0} - wrapSpan};
+    idStep_[portOf(d, Dir::Neg)] = {NodeId{0} - stride, wrapSpan};
+  }
+  // One odometer pass over the coordinates, no division: port 2d wraps at
+  // digit k-1, port 2d+1 at digit 0.
+  std::array<NodeId, kMaxDims> digit{};
+  for (NodeId id = 0; id < space_.nodeCount(); ++id) {
+    std::uint16_t wraps = 0;
+    for (int d = 0; d < dims; ++d) {
+      if (digit[d] == k - 1) wraps |= static_cast<std::uint16_t>(1u << portOf(d, Dir::Pos));
+      if (digit[d] == 0) wraps |= static_cast<std::uint16_t>(1u << portOf(d, Dir::Neg));
+    }
+    wrapPorts_[id] = wraps;
+    for (int d = 0; d < dims && ++digit[d] == k; ++d) digit[d] = 0;
+  }
 }
 
 int TorusTopology::minimalOffset(std::int16_t from, std::int16_t to) const noexcept {

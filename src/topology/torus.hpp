@@ -6,9 +6,19 @@
 //   port 2n   = injection (from the local PE)
 // and a conceptually separate ejection output (port index 2n as well on the
 // output side; input port 2n is injection, output port 2n is ejection).
+//
+// Port map. The constructor builds it once, in one pass over the
+// coordinates: a per-node bitmask of wrap-around ports, plus a per-port pair
+// of id steps (across an inner link, across the wrap link). The mask alone
+// then fixes every neighbour: neighbor(id, p) = id + step[p][wraps(id, p)].
+// Every consumer (fault marking, the connectivity check, routing, the CDG
+// verifier and the engines' link pass) reads it; nothing else derives a
+// neighbour from coordinates. The reverse of port p is reversePort(p) = p ^ 1.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "src/topology/coordinates.hpp"
 
@@ -26,6 +36,8 @@ constexpr int portOf(int dim, Dir dir) noexcept {
 }
 constexpr int dimOfPort(int port) noexcept { return port / 2; }
 constexpr Dir dirOfPort(int port) noexcept { return (port & 1) ? Dir::Neg : Dir::Pos; }
+/// The port a link arrives on at the far end: same dimension, opposite direction.
+constexpr int reversePort(int port) noexcept { return port ^ 1; }
 
 class TorusTopology {
  public:
@@ -46,14 +58,22 @@ class TorusTopology {
   [[nodiscard]] Coordinates coordsOf(NodeId id) const noexcept { return space_.coordsOf(id); }
   [[nodiscard]] NodeId idOf(const Coordinates& c) const noexcept { return space_.idOf(c); }
 
-  /// Neighbour of `id` across (dim, dir); torus links always exist.
-  [[nodiscard]] NodeId neighbor(NodeId id, int dim, Dir dir) const noexcept;
+  /// Neighbour of `id` across network port `port`; torus links always exist.
   [[nodiscard]] NodeId neighbor(NodeId id, int port) const noexcept {
-    return neighbor(id, dimOfPort(port), dirOfPort(port));
+    return id + idStep_[static_cast<std::size_t>(port)][isWrapLink(id, port) ? 1 : 0];
+  }
+  [[nodiscard]] NodeId neighbor(NodeId id, int dim, Dir dir) const noexcept {
+    return neighbor(id, portOf(dim, dir));
   }
 
-  /// True iff the (dim, dir) link out of `id` is a wrap-around link.
-  [[nodiscard]] bool isWrapLink(NodeId id, int dim, Dir dir) const noexcept;
+  /// True iff the link out of `id` through `port` is a wrap-around link
+  /// (digit k-1 -> 0 going Pos, 0 -> k-1 going Neg).
+  [[nodiscard]] bool isWrapLink(NodeId id, int port) const noexcept {
+    return ((wrapPorts_[id] >> port) & 1u) != 0;
+  }
+  [[nodiscard]] bool isWrapLink(NodeId id, int dim, Dir dir) const noexcept {
+    return isWrapLink(id, portOf(dim, dir));
+  }
 
   /// Signed minimal offset from a to b along `dim`, in [-k/2, k/2].
   /// Ties (|offset| == k/2 with k even) resolve to the positive direction.
@@ -73,6 +93,10 @@ class TorusTopology {
 
  private:
   AddressSpace space_;
+  // Id change leaving through port p, modulo 2^32: [p][0] across an inner
+  // link (+-k^d), [p][1] across the wrap link (-+(k-1)k^d).
+  std::array<std::array<NodeId, 2>, 2 * kMaxDims> idStep_{};
+  std::vector<std::uint16_t> wrapPorts_;  // bit p set: port p of id wraps
 };
 
 }  // namespace swft

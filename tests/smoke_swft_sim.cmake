@@ -1,6 +1,6 @@
 # CTest smoke script: run swft_sim end-to-end in CSV mode on a small faulty
 # torus and check the exit code and output shape, then check that an
-# out-of-range msg_length is refused.
+# out-of-range msg_length, rate, td, delta or nf is refused.
 #
 #   cmake -DSWFT_SIM=<path-to-binary> -P smoke_swft_sim.cmake
 if(NOT SWFT_SIM)
@@ -60,6 +60,23 @@ foreach(bad 0 70000)
   endif()
   if(NOT badErr MATCHES "msg_length")
     message(FATAL_ERROR "msg_length=${bad} error does not name the key: ${badErr}")
+  endif()
+endforeach()
+
+# Values no run can honour are refused the same way: each exits non-zero
+# with an error naming its key, instead of running and reporting "saturated".
+foreach(bad rate=-1 rate=nan rate=2 td=-5 delta=-3 nf=63)
+  string(REGEX REPLACE "=.*$" "" badKey "${bad}")
+  execute_process(
+    COMMAND ${SWFT_SIM} --csv k=8 n=2 ${bad}
+    RESULT_VARIABLE badRc
+    OUTPUT_VARIABLE badOut
+    ERROR_VARIABLE badErr)
+  if(badRc EQUAL 0)
+    message(FATAL_ERROR "swft_sim accepted ${bad}:\n${badOut}")
+  endif()
+  if(NOT badErr MATCHES "${badKey}")
+    message(FATAL_ERROR "${bad} error does not name the key: ${badErr}")
   endif()
 endforeach()
 

@@ -136,8 +136,9 @@ SimConfig drawConfig(Rng& rng, std::uint64_t index) {
   cfg.routing = rng.bernoulli(0.5) ? RoutingMode::Adaptive : RoutingMode::Deterministic;
   if (rng.bernoulli(0.4)) {
     cfg.faults.randomNodes = 1 + static_cast<int>(rng.uniform(4));
-    // Only a 4-node ring has as few nodes as faults; keep one node healthy.
-    if (cfg.dims == 1) cfg.faults.randomNodes = std::min(cfg.faults.randomNodes, cfg.radix - 1);
+    // Only a 4-node ring has as few nodes as faults; validate() requires
+    // two healthy nodes.
+    if (cfg.dims == 1) cfg.faults.randomNodes = std::min(cfg.faults.randomNodes, cfg.radix - 2);
     cfg.reinjectDelay = static_cast<int>(rng.uniform(31));
     // Occasionally a tiny threshold so the Valiant escalation path fires.
     if (rng.bernoulli(0.25)) cfg.livelockThreshold = 8;

@@ -56,6 +56,14 @@ TEST(ExperimentRegistry, EveryGridHasUniqueLabelsAndValidColumns) {
   }
 }
 
+TEST(ExperimentRegistry, EveryGridPassesValidate) {
+  for (const ExperimentSpec* spec : ExperimentRegistry::instance().all()) {
+    for (const SweepPoint& p : spec->build()) {
+      EXPECT_NO_THROW(validate(p.cfg)) << spec->name << "/" << p.label;
+    }
+  }
+}
+
 TEST(ExperimentRegistry, DuplicateRegistrationThrows) {
   ExperimentSpec dup;
   dup.name = "fig3";
@@ -369,6 +377,35 @@ TEST(RunExperiment, CacheOffByDefaultAndTouchesNothing) {
   EXPECT_FALSE(run.cacheUsed);
   EXPECT_FALSE(std::filesystem::exists(opt.cacheDir));
   EXPECT_EQ(log.str().find("cache:"), std::string::npos);
+}
+
+TEST(RunExperiment, InvalidPointIsRefusedBeforeCacheAndArtifact) {
+  const std::string base =
+      (std::filesystem::temp_directory_path() / "swft_experiment_invalid").string();
+  std::filesystem::remove_all(base);
+  ExperimentSpec spec = tinySpec("tiny_invalid");
+  spec.build = [inner = spec.build] {
+    std::vector<SweepPoint> points = inner();
+    points[3].cfg.injectionRate = -1.0;
+    return points;
+  };
+  RunOptions opt;
+  opt.outDir = base + "/out";
+  opt.useCache = true;
+  opt.cacheDir = base + "/cache";
+  opt.threads = 1;
+  opt.progress = false;
+  std::ostringstream log;
+  try {
+    (void)runExperiment(spec, opt, log);
+    ADD_FAILURE() << "a point with rate=-1 was run";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tiny_invalid/pt3"), std::string::npos) << what;
+    EXPECT_NE(what.find("rate"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(std::filesystem::exists(opt.cacheDir));
+  EXPECT_FALSE(std::filesystem::exists(opt.outDir));
 }
 
 TEST(RunExperiment, ArtifactNames) {

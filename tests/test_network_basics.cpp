@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -67,6 +68,73 @@ TEST(NetworkBasics, MessageLengthMustFitTheSixteenBitField) {
   EXPECT_EQ(net.generated(), 0u) << "a rejected message is not counted";
   net.injectTestMessage(0, 5, kMaxMessageLength, RoutingMode::Deterministic);
   EXPECT_EQ(net.generated(), 1u);
+}
+
+// Random placement runs after the explicit faults and is the only
+// connectivity check of such a build, so it must see the link faults: an
+// 8-node ring cut at 0->1 with one random fault builds for every seed.
+TEST(NetworkBasics, RandomFaultsRedrawAroundExplicitLinkFaults) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SimConfig cfg = quietConfig(8, 1);
+    cfg.faults.explicitLinks = {{0, 0, 0}};
+    cfg.faults.randomNodes = 1;
+    cfg.seed = seed;
+    try {
+      const Network net(cfg);
+      EXPECT_TRUE(healthyNetworkConnected(net.faults())) << "seed " << seed;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "seed " << seed << ": " << e.what();
+    }
+  }
+}
+
+TEST(NetworkBasics, ExplicitFaultsThatDisconnectAreRejected) {
+  SimConfig cfg = quietConfig(8, 1);
+  cfg.faults.explicitNodes = {2, 5};
+  EXPECT_THROW(Network{cfg}, std::runtime_error);
+  cfg.faults.explicitNodes = {2};
+  EXPECT_NO_THROW(Network{cfg});
+}
+
+// validate() refuses values no run can honour, naming the key and the value.
+TEST(NetworkBasics, ValidateRejectsOutOfRangeValues) {
+  struct Bad {
+    const char* key;
+    const char* value;
+    void (*set)(SimConfig&);
+  };
+  const Bad bad[] = {
+      {"rate", "-1", [](SimConfig& c) { c.injectionRate = -1.0; }},
+      {"rate", "nan", [](SimConfig& c) { c.injectionRate = std::nan(""); }},
+      {"rate", "inf", [](SimConfig& c) { c.injectionRate = HUGE_VAL; }},
+      {"rate", "2", [](SimConfig& c) { c.injectionRate = 2.0; }},
+      {"td", "-5", [](SimConfig& c) { c.routerDecisionTime = -5; }},
+      {"delta", "-3", [](SimConfig& c) { c.reinjectDelay = -3; }},
+      {"nf", "63", [](SimConfig& c) { c.faults.randomNodes = 63; }},
+      {"nf", "-1", [](SimConfig& c) { c.faults.randomNodes = -1; }},
+  };
+  for (const Bad& b : bad) {
+    SimConfig cfg = quietConfig(8, 2);
+    b.set(cfg);
+    try {
+      validate(cfg);
+      ADD_FAILURE() << b.key << "=" << b.value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("config: ") + b.key + " "), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("got ") + b.value), std::string::npos) << what;
+    }
+    EXPECT_THROW(Network{cfg}, std::invalid_argument) << b.key << "=" << b.value;
+  }
+  SimConfig edge = quietConfig(8, 2);
+  edge.injectionRate = 1.0;
+  edge.faults.randomNodes = 62;
+  EXPECT_NO_THROW(validate(edge));
+  edge.injectionRate = 0.0;
+  edge.faults.randomNodes = 0;
+  edge.routerDecisionTime = 0;
+  edge.reinjectDelay = 0;
+  EXPECT_NO_THROW(validate(edge));
 }
 
 TEST(NetworkBasics, ConstructionAppliesFaultSpec) {

@@ -163,6 +163,32 @@ TEST(RandomFaults, RejectsImpossibleCounts) {
   EXPECT_THROW(applyRandomNodeFaults(faults, 16, rng), std::invalid_argument);
 }
 
+TEST(RandomFaults, RejectsCountsThatLeaveNoHealthyNode) {
+  const TorusTopology topo(4, 2);
+  FaultSet faults(topo);
+  for (NodeId id = 0; id < 10; ++id) faults.failNode(id);
+  Rng rng(1);
+  EXPECT_THROW(applyRandomNodeFaults(faults, 6, rng), std::invalid_argument);
+  EXPECT_EQ(faults.faultyNodeCount(), 10);
+}
+
+// An 8-node ring cut by a link fault 0->1 is a path 1..7,0: only a fault at
+// either end keeps it connected. The placement must validate against the
+// link fault, not only against the node faults.
+TEST(RandomFaults, ValidatesAgainstExistingLinkFaults) {
+  const TorusTopology topo(8, 1);
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    FaultSet faults(topo);
+    faults.failLink(0, 0, Dir::Pos);
+    Rng rng(seed);
+    const auto placed = applyRandomNodeFaults(faults, 1, rng);
+    ASSERT_EQ(placed.size(), 1u);
+    EXPECT_TRUE(placed[0] == 0 || placed[0] == 1) << "seed " << seed << " placed " << placed[0];
+    EXPECT_TRUE(healthyNetworkConnected(faults)) << "seed " << seed;
+    EXPECT_TRUE(faults.linkFaulty(0, 0, Dir::Pos)) << "seed " << seed;
+  }
+}
+
 TEST(RandomFaults, StacksOnExistingFaultsWithoutOverlap) {
   const TorusTopology topo(8, 2);
   FaultSet faults(topo);

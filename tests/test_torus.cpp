@@ -17,11 +17,46 @@ TEST(Ports, EncodingRoundTrip) {
   }
 }
 
+TEST(Ports, ReversePortFlipsDirection) {
+  for (int port = 0; port < 2 * kMaxDims; ++port) {
+    EXPECT_EQ(dimOfPort(reversePort(port)), dimOfPort(port));
+    EXPECT_EQ(dirOfPort(reversePort(port)), opposite(dirOfPort(port)));
+    EXPECT_EQ(reversePort(reversePort(port)), port);
+  }
+}
+
 TEST(Ports, OppositeInverts) {
   EXPECT_EQ(opposite(Dir::Pos), Dir::Neg);
   EXPECT_EQ(opposite(Dir::Neg), Dir::Pos);
   EXPECT_EQ(dirStep(Dir::Pos), 1);
   EXPECT_EQ(dirStep(Dir::Neg), -1);
+}
+
+// The port map against its coordinate definition, for every (id, port):
+// the neighbour differs in one digit by +-1 mod k, and the link wraps iff it
+// leaves digit k-1 going Pos or digit 0 going Neg.
+void expectPortMapMatchesOracle(const TorusTopology& t) {
+  const int k = t.radix();
+  for (NodeId id = 0; id < t.nodeCount(); ++id) {
+    const Coordinates c = t.coordsOf(id);
+    for (int port = 0; port < t.networkPorts(); ++port) {
+      const int dim = dimOfPort(port);
+      const Dir dir = dirOfPort(port);
+      Coordinates expected = c;
+      expected[dim] = static_cast<std::int16_t>((c[dim] + dirStep(dir) + k) % k);
+      const NodeId nb = t.neighbor(id, port);
+      ASSERT_EQ(nb, t.idOf(expected)) << "id " << id << " port " << port;
+      ASSERT_EQ(t.neighbor(id, dim, dir), nb);
+      const bool wraps = dir == Dir::Pos ? c[dim] == k - 1 : c[dim] == 0;
+      ASSERT_EQ(t.isWrapLink(id, port), wraps) << "id " << id << " port " << port;
+      ASSERT_EQ(t.isWrapLink(id, dim, dir), wraps);
+      ASSERT_EQ(t.neighbor(nb, reversePort(port)), id) << "id " << id << " port " << port;
+      if (k == 2) {
+        // Both ports of a radix-2 dimension reach the same node.
+        ASSERT_EQ(nb, t.neighbor(id, reversePort(port)));
+      }
+    }
+  }
 }
 
 struct KnParam {
@@ -135,6 +170,10 @@ TEST_P(TorusParam, DiameterIsNTimesHalfK) {
   }
 }
 
+TEST_P(TorusParam, PortMapMatchesCoordinateOracle) {
+  expectPortMapMatchesOracle(topo());
+}
+
 INSTANTIATE_TEST_SUITE_P(Grids, TorusParam,
                          ::testing::Values(KnParam{3, 2}, KnParam{4, 2}, KnParam{5, 2},
                                            KnParam{8, 2}, KnParam{4, 3}, KnParam{8, 3},
@@ -143,6 +182,16 @@ INSTANTIATE_TEST_SUITE_P(Grids, TorusParam,
                          [](const auto& info) {
                            return knName(info.param.k, info.param.n);
                          });
+
+// Rings, radix 2 and the 32,768-node torus, outside the grid above (whose
+// all-pairs checks would be slow at 32k nodes).
+TEST(Torus, PortMapMatchesCoordinateOracleOnRingsRadix2AndLargeTorus) {
+  for (const auto& [k, n] : {std::pair{2, 1}, std::pair{3, 1}, std::pair{8, 1}, std::pair{2, 2},
+                            std::pair{2, 5}, std::pair{32, 3}}) {
+    SCOPED_TRACE(knName(k, n));
+    expectPortMapMatchesOracle(TorusTopology(k, n));
+  }
+}
 
 TEST(Torus, WrapLinkPositions8ary) {
   const TorusTopology t(8, 2);
