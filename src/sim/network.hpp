@@ -128,9 +128,11 @@ class Network {
   [[nodiscard]] static StepRouterFn stepRouterFor(int occWords) noexcept;
   // Winner commit for one network link: advance the round-robin cursor, pop
   // at the winner unit, push into the hoisted downstream unit, release the
-  // route on tail departure. Force-inlined into stepRouter (its only caller)
-  // so arena row pointers stay in registers across selection and commit.
-  [[gnu::always_inline]] void commitLink(NodeId id, int port, int winnerIdx);
+  // route on tail departure. `wraps` is topo_.wrapPorts(id). Force-inlined
+  // into stepRouter (its only caller) so arena row pointers stay in
+  // registers across selection and commit.
+  [[gnu::always_inline]] void commitLink(NodeId id, int port, int winnerIdx,
+                                         std::uint32_t wraps);
 
   // Seed-engine step functions over the legacy storage (engine_dense.cpp).
   void stepInjectionDense(NodeId id);

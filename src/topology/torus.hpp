@@ -58,9 +58,17 @@ class TorusTopology {
   [[nodiscard]] Coordinates coordsOf(NodeId id) const noexcept { return space_.coordsOf(id); }
   [[nodiscard]] NodeId idOf(const Coordinates& c) const noexcept { return space_.idOf(c); }
 
+  /// Bitmask of the wrap-around ports of `id` (bit p set: port p wraps).
+  [[nodiscard]] std::uint32_t wrapPorts(NodeId id) const noexcept { return wrapPorts_[id]; }
+
   /// Neighbour of `id` across network port `port`; torus links always exist.
+  /// The three-argument form takes `wrapPorts(id)`, for callers that visit
+  /// several ports of one node (the engines' link pass loads it once).
+  [[nodiscard]] NodeId neighbor(NodeId id, int port, std::uint32_t wraps) const noexcept {
+    return id + idStep_[static_cast<std::size_t>(port)][(wraps >> port) & 1u];
+  }
   [[nodiscard]] NodeId neighbor(NodeId id, int port) const noexcept {
-    return id + idStep_[static_cast<std::size_t>(port)][isWrapLink(id, port) ? 1 : 0];
+    return neighbor(id, port, wrapPorts(id));
   }
   [[nodiscard]] NodeId neighbor(NodeId id, int dim, Dir dir) const noexcept {
     return neighbor(id, portOf(dim, dir));
@@ -69,7 +77,7 @@ class TorusTopology {
   /// True iff the link out of `id` through `port` is a wrap-around link
   /// (digit k-1 -> 0 going Pos, 0 -> k-1 going Neg).
   [[nodiscard]] bool isWrapLink(NodeId id, int port) const noexcept {
-    return ((wrapPorts_[id] >> port) & 1u) != 0;
+    return ((wrapPorts(id) >> port) & 1u) != 0;
   }
   [[nodiscard]] bool isWrapLink(NodeId id, int dim, Dir dir) const noexcept {
     return isWrapLink(id, portOf(dim, dir));

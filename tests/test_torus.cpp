@@ -47,6 +47,7 @@ void expectPortMapMatchesOracle(const TorusTopology& t) {
       const NodeId nb = t.neighbor(id, port);
       ASSERT_EQ(nb, t.idOf(expected)) << "id " << id << " port " << port;
       ASSERT_EQ(t.neighbor(id, dim, dir), nb);
+      ASSERT_EQ(t.neighbor(id, port, t.wrapPorts(id)), nb);
       const bool wraps = dir == Dir::Pos ? c[dim] == k - 1 : c[dim] == 0;
       ASSERT_EQ(t.isWrapLink(id, port), wraps) << "id " << id << " port " << port;
       ASSERT_EQ(t.isWrapLink(id, dim, dir), wraps);
