@@ -10,22 +10,15 @@
 //                   reference engine against the event-sparse engine on
 //                   four pinned operating points (low load, saturation,
 //                   faulty adaptive) and writes machine-readable JSON
-//                   (schema swft-bench-engine-v1, see README.md). The two
-//                   saturation points additionally run a sparse-mt
-//                   thread-scaling sweep (sim_threads 1/2/4/8) recording
-//                   mtN_cps, the best self-speedup over thread counts the
-//                   machine can actually host, and hardware_concurrency.
+//                   (schema swft-bench-engine-v1, see README.md).
 //   --check=REF     additionally compares the sparse-engine cycles/sec of
 //                   this run against a checked-in reference JSON and exits
 //                   non-zero if any point regressed by more than
 //                   --tolerance (default 0.30). Used by the perf-smoke CI
 //                   job to catch order-of-magnitude regressions without
-//                   flaking on runner noise. A per-point min_self_speedup
-//                   in the reference gates the sparse-mt scaling; the
-//                   requirement is derated by the runner's core count so
-//                   the gate is runner-speed- and runner-width-insensitive
-//                   (trivially satisfied on a single-core machine, armed on
-//                   multi-core CI).
+//                   flaking on runner noise. A per-point min_speedup in
+//                   the reference gates the sparse/dense ratio, which is
+//                   insensitive to runner speed.
 #ifdef SWFT_HAVE_GBENCH
 #include <benchmark/benchmark.h>
 #endif
@@ -48,7 +41,6 @@
 #include "src/sim/config_parse.hpp"
 #include "src/sim/link_qual.hpp"
 #include "src/sim/network.hpp"
-#include "src/util/simd.hpp"
 #include "src/verify/cdg.hpp"
 
 using namespace swft;
@@ -168,8 +160,7 @@ void BM_Qualify(benchmark::State& state) {
   // 5-port V=10 router (the `saturation` operating-point router shape,
   // 50 units): arg 0 = the pre-bitmap per-candidate loop (route-word
   // gather + arrival compare + downstream size probe per live unit),
-  // arg 1 = the arena-bitmap pass with the SIMD port sweep forced scalar,
-  // arg 2 = the bitmap pass with the vector sweep.
+  // arg 1 = the arena-bitmap pass the link pass runs (qualifyPortRows<1>).
   constexpr int kPorts = 5, kVcs = 10, kDepth = 4;
   RouterArena a(2, kPorts, kPorts - 1, kVcs, kDepth);
   const int units = a.unitsPerRouter();
@@ -219,17 +210,15 @@ void BM_Qualify(benchmark::State& state) {
       benchmark::DoNotOptimize(okp[0]);
     }
   } else {
-    const bool prev = simd::forceScalar();
-    simd::setForceScalar(state.range(0) == 1);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(qualifyLinkCandidates(a, 0, okp, kPorts));
+      const std::uint64_t ok = a.freshWords(0)[0] & a.downOkWords(0)[0];
+      benchmark::DoNotOptimize(qualifyPortRows<1>(&ok, a.portMembers(0, 0), okp, kPorts));
       benchmark::DoNotOptimize(okp[0]);
     }
-    simd::setForceScalar(prev);
   }
   state.SetItemsProcessed(state.iterations() * units);
 }
-BENCHMARK(BM_Qualify)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Qualify)->Arg(0)->Arg(1);
 
 void BM_CdgBuild(benchmark::State& state) {
   const TorusTopology topo(static_cast<int>(state.range(0)), 2);
@@ -278,7 +267,6 @@ struct OperatingPoint {
   SimConfig cfg;
   std::uint64_t warmCycles;
   std::uint64_t chunkCycles;  // cycles per timed repetition
-  bool threadScaling = false; // also sweep sparse-mt sim_threads 1/2/4/8
 };
 
 std::vector<OperatingPoint> operatingPoints() {
@@ -309,7 +297,6 @@ std::vector<OperatingPoint> operatingPoints() {
     p.cfg.vcs = 10;
     p.cfg.messageLength = 32;
     p.cfg.injectionRate = 0.015;
-    p.threadScaling = true;
     points.push_back(p);
   }
 
@@ -326,7 +313,6 @@ std::vector<OperatingPoint> operatingPoints() {
     p.cfg.vcs = 4;
     p.cfg.messageLength = 32;
     p.cfg.injectionRate = 0.006;
-    p.threadScaling = true;
     points.push_back(p);
   }
 
@@ -390,75 +376,11 @@ MeasuredPair measureCyclesPerSecond(const OperatingPoint& point, int reps = 7) {
                       sparseSamples[sparseSamples.size() / 2]};
 }
 
-// The sparse-mt thread-scaling axis: the single-domain baseline, two
-// intermediate widths, and the tentpole's 8-thread target.
-constexpr int kMtThreadAxis[] = {1, 2, 4, 8};
-constexpr std::size_t kMtAxisLen = sizeof(kMtThreadAxis) / sizeof(kMtThreadAxis[0]);
-
-/// Thread counts worth crediting on this machine: no point demanding (or
-/// rewarding) an 8-way speedup on a 2-core runner.
-unsigned usableCores() {
-  return std::min(std::max(1u, std::thread::hardware_concurrency()), 8u);
-}
-
-struct MtScaling {
-  std::vector<double> cps;      // median cycles/sec per kMtThreadAxis entry
-  std::vector<double> parFrac;  // measured parallel fraction per entry
-};
-
-/// Median sparse-mt cycles/sec at each axis thread count. Each count is
-/// measured in its own scope — idle MtEngine workers spin (with yield)
-/// between phases, so two mt networks alive at once would steal cycles from
-/// each other and distort every sample on narrow machines. The
-/// self-speedup gate consumes ratios of numbers taken seconds apart, which
-/// machine-load drift moves together.
-///
-/// Each run also measures its *parallel fraction* from the engine's phase
-/// shards: 1 - serial / work, where serial is the baton thread's P2 time
-/// (gen + inj + walk) and work is every thread's phase time excluding
-/// barrier waits. This is the Amdahl input that explains the mtN_cps curve
-/// — the PhaseClock overhead (a few steady_clock reads per cycle per
-/// thread) is far below the run-to-run noise floor.
-MtScaling measureMtScaling(const OperatingPoint& point, int reps = 5) {
-  MtScaling out;
-  out.cps.reserve(kMtAxisLen);
-  out.parFrac.reserve(kMtAxisLen);
-  for (const int t : kMtThreadAxis) {
-    SimConfig cfg = point.cfg;
-    cfg.engine = EngineKind::SparseMt;
-    cfg.simThreads = t;
-    cfg.phaseTimers = true;
-    Network net(cfg);
-    net.step(point.warmCycles);
-    std::vector<double> samples;
-    samples.reserve(static_cast<std::size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      net.step(point.chunkCycles);
-      const auto t1 = std::chrono::steady_clock::now();
-      samples.push_back(static_cast<double>(point.chunkCycles) /
-                        std::chrono::duration<double>(t1 - t0).count());
-    }
-    std::sort(samples.begin(), samples.end());
-    out.cps.push_back(samples[samples.size() / 2]);
-    const std::vector<PhaseBreakdown>& shards = net.phaseShards();
-    double serial = shards.empty() ? 0.0 : shards[0].serial();
-    double work = 0.0;
-    for (const PhaseBreakdown& s : shards) {
-      work += s.total() - s.sec[PhaseBreakdown::kBarrier];
-    }
-    out.parFrac.push_back(work > 0.0 ? 1.0 - serial / work : 0.0);
-  }
-  return out;
-}
-
 struct PointResult {
   std::string name;
   std::string config;
   double denseCps = 0.0;
   double sparseCps = 0.0;
-  std::vector<double> mtCps;      // per kMtThreadAxis entry; empty = no sweep
-  std::vector<double> mtParFrac;  // measured parallel fraction per entry
   // The result-cache point (name "result_cache") carries per-operation
   // nanoseconds instead of engine cycles/sec.
   double cacheKeyNs = 0.0;    // canonical key derivation + FNV hash
@@ -511,19 +433,6 @@ PointResult measureCachePoint(int reps = 2000) {
   return r;
 }
 
-/// Best sparse-mt self-speedup over the thread counts this machine can host
-/// concurrently (1.0 when only the single-domain run fits).
-double bestSelfSpeedup(const PointResult& r) {
-  if (r.mtCps.size() != kMtAxisLen || r.mtCps[0] <= 0.0) return 0.0;
-  const unsigned usable = usableCores();
-  double best = 1.0;
-  for (std::size_t i = 0; i < kMtAxisLen; ++i) {
-    if (static_cast<unsigned>(kMtThreadAxis[i]) > usable) continue;
-    best = std::max(best, r.mtCps[i] / r.mtCps[0]);
-  }
-  return best;
-}
-
 /// Compiler id + version, for the bench-metadata header.
 std::string compilerString() {
 #if defined(__clang__)
@@ -545,17 +454,9 @@ std::string resultsToJson(const std::vector<PointResult>& results) {
   os << "  \"schema\": \"swft-bench-engine-v1\",\n";
   os << "  \"description\": \"cycles/sec of the dense reference engine (the "
         "seed implementation) vs the event-sparse engine, medians of 7 "
-        "interleaved steady-state chunks per point; saturation points also "
-        "sweep the sparse-mt engine at 1/2/4/8 domain threads (mtN_cps), "
-        "each run's measured parallel fraction from the engine phase timers "
-        "(mtN_parallel_fraction = 1 - serial baton time / total phase work), "
-        "and record the best self-speedup over thread counts this machine's "
-        "hardware_concurrency can host\",\n";
+        "interleaved steady-state chunks per point\",\n";
   // Machine/toolchain metadata, so cross-machine comparisons of the numbers
   // below are honest about what produced them.
-  os << "  \"simd_isa\": \"" << simd::isaName() << "\",\n";
-  os << "  \"simd_mode\": \""
-     << (simd::forceScalar() ? "scalar-forced" : "vector") << "\",\n";
   os << "  \"compiler\": \"" << compilerString() << "\",\n";
   os << "  \"hardware_concurrency\": "
      << std::max(1u, std::thread::hardware_concurrency()) << ",\n";
@@ -575,24 +476,6 @@ std::string resultsToJson(const std::vector<PointResult>& results) {
     }
     os << "      \"dense_cps\": " << r.denseCps << ",\n";
     os << "      \"sparse_cps\": " << r.sparseCps << ",\n";
-    if (r.mtCps.size() == kMtAxisLen) {
-      for (std::size_t t = 0; t < kMtAxisLen; ++t) {
-        os << "      \"mt" << kMtThreadAxis[t] << "_cps\": " << r.mtCps[t] << ",\n";
-      }
-      if (r.mtParFrac.size() == kMtAxisLen) {
-        os.precision(3);
-        for (std::size_t t = 0; t < kMtAxisLen; ++t) {
-          os << "      \"mt" << kMtThreadAxis[t]
-             << "_parallel_fraction\": " << r.mtParFrac[t] << ",\n";
-        }
-        os.precision(1);
-      }
-      os.precision(3);
-      os << "      \"self_speedup\": " << bestSelfSpeedup(r) << ",\n";
-      os.precision(1);
-      os << "      \"hardware_concurrency\": "
-         << std::max(1u, std::thread::hardware_concurrency()) << ",\n";
-    }
     os.precision(3);
     os << "      \"speedup\": " << (r.sparseCps / r.denseCps) << "\n";
     os.precision(1);
@@ -639,20 +522,6 @@ bool measureInSubprocess(const std::string& exe, PointResult& r) {
   std::remove(part.c_str());
   r.denseCps = extractPointValue(json, r.name, "dense_cps");
   r.sparseCps = extractPointValue(json, r.name, "sparse_cps");
-  std::vector<double> mt;
-  std::vector<double> frac;
-  for (const int t : kMtThreadAxis) {
-    const double v =
-        extractPointValue(json, r.name, "mt" + std::to_string(t) + "_cps");
-    if (v <= 0.0) break;
-    mt.push_back(v);
-    frac.push_back(extractPointValue(
-        json, r.name, "mt" + std::to_string(t) + "_parallel_fraction"));
-  }
-  if (mt.size() == kMtAxisLen) {
-    r.mtCps = std::move(mt);
-    r.mtParFrac = std::move(frac);
-  }
   return r.denseCps > 0.0 && r.sparseCps > 0.0;
 }
 
@@ -677,18 +546,6 @@ int runHarness(const std::string& exe, const std::string& emitPath,
       r.sparseCps = pair.sparseCps;
       std::printf("%-16s dense %12.0f c/s   sparse %12.0f c/s   speedup %.2fx\n",
                   point.name, r.denseCps, r.sparseCps, r.sparseCps / r.denseCps);
-      if (point.threadScaling) {
-        MtScaling scaling = measureMtScaling(point);
-        r.mtCps = std::move(scaling.cps);
-        r.mtParFrac = std::move(scaling.parFrac);
-        std::printf("%-16s sparse-mt", point.name);
-        for (std::size_t t = 0; t < kMtAxisLen; ++t) {
-          std::printf("  T=%d %10.0f c/s (par %.2f)", kMtThreadAxis[t],
-                      r.mtCps[t], r.mtParFrac[t]);
-        }
-        std::printf("   self-speedup %.2fx (on %u cores)\n", bestSelfSpeedup(r),
-                    std::max(1u, std::thread::hardware_concurrency()));
-      }
     }
     results.push_back(r);
   }
@@ -760,38 +617,6 @@ int runHarness(const std::string& exe, const std::string& emitPath,
         } else {
           std::printf("%s speedup ok: %.2fx >= %.2fx\n", r.name.c_str(), speedup,
                       minSpeedup);
-        }
-      }
-      // Sparse-mt self-speedup gate: like min_speedup this is a ratio, so
-      // it is insensitive to runner *speed* — but not to runner *width*, so
-      // the reference value (the requirement on a full 8-core machine) is
-      // scaled linearly down to the cores this runner can actually host and
-      // then halved to absorb shared-vCPU jitter. A single-core machine
-      // requires exactly 1.0 (the gate disarms rather than flakes); an
-      // 8-core runner with min_self_speedup 3.5 requires 2.25x.
-      const double minSelf = extractPointValue(ref, r.name, "min_self_speedup");
-      if (minSelf > 0.0) {
-        if (r.mtCps.size() != kMtAxisLen) {
-          std::fprintf(stderr,
-                       "PERF REGRESSION at %s: reference demands sparse-mt "
-                       "scaling but this run has no mtN_cps sweep\n",
-                       r.name.c_str());
-          ++failures;
-        } else {
-          const unsigned usable = usableCores();
-          const double required =
-              1.0 + (minSelf - 1.0) * static_cast<double>(usable - 1) / 7.0 * 0.5;
-          const double best = bestSelfSpeedup(r);
-          if (best < required) {
-            std::fprintf(stderr,
-                         "PERF REGRESSION at %s: sparse-mt self-speedup %.2fx < "
-                         "required %.2fx (reference %.2fx at 8 cores, %u usable)\n",
-                         r.name.c_str(), best, required, minSelf, usable);
-            ++failures;
-          } else {
-            std::printf("%s self-speedup ok: %.2fx >= %.2fx (%u usable cores)\n",
-                        r.name.c_str(), best, required, usable);
-          }
         }
       }
     }

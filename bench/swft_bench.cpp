@@ -30,13 +30,10 @@ void printUsage() {
          "  --shard i/N        run only the points whose stable label hash lands in\n"
          "                     residue class i (0-based); outputs are merge-safe\n"
          "  --threads T        sweep thread-pool size (default: hardware concurrency)\n"
-         "  --sim-threads N    run every point on the sparse-mt engine with N domain\n"
-         "                     workers (bit-identical results; the sweep pool is derated\n"
-         "                     so pool x N stays within hardware concurrency)\n"
          "  --phase-timers     report each point's per-phase wall-clock breakdown on\n"
-         "                     stderr (cards/linkq/gen/inj/walk/commit/barrier, one line\n"
-         "                     per engine thread); cache hits skip simulation and print\n"
-         "                     nothing — combine with --no-cache to time every point\n"
+         "                     stderr (gen/inj/walk, one line per point); cache hits\n"
+         "                     skip simulation and print nothing — combine with\n"
+         "                     --no-cache to time every point\n"
          "  --format csv|json  artifact format (default csv)\n"
          "  --out DIR          artifact directory (default: $SWFT_RESULTS_DIR or results/)\n"
          "  --cache            consult the content-addressed result cache (default on):\n"
@@ -108,12 +105,6 @@ int main(int argc, char** argv) {
         opt.shard = swft::parseShard(needValue(i));
       } else if (std::strcmp(arg, "--threads") == 0) {
         opt.threads = std::stoi(needValue(i));
-      } else if (std::strcmp(arg, "--sim-threads") == 0) {
-        opt.simThreads = std::stoi(needValue(i));
-        if (opt.simThreads < 1) {
-          std::cerr << "error: --sim-threads needs a positive integer\n";
-          return 2;
-        }
       } else if (std::strcmp(arg, "--phase-timers") == 0) {
         opt.phaseTimers = true;
       } else if (std::strcmp(arg, "--format") == 0) {

@@ -201,7 +201,15 @@ std::vector<NodeId> applyRandomNodeFaults(FaultSet& faults, int count, Rng& rng,
       trial.failNode(id);
       chosen.push_back(id);
     }
-    if (!healthyNetworkConnected(trial)) continue;
+    if (!healthyNetworkConnected(trial)) {
+      // Once per call: if the pattern is already disconnected, no draw can
+      // reconnect it for certain, so refuse it instead of redrawing.
+      if (attempt == 0 && !healthyNetworkConnected(faults)) {
+        throw std::runtime_error(
+            "applyRandomNodeFaults: fault pattern disconnects the network");
+      }
+      continue;
+    }
     for (NodeId id : chosen) faults.failNode(id);
     return chosen;
   }

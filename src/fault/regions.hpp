@@ -69,7 +69,9 @@ std::vector<NodeId> applyRegion(FaultSet& faults, const RegionSpec& spec);
 /// together with every fault already in `faults` (nodes and links), so the
 /// result is the final, validated pattern. Returns the failed nodes.
 /// Throws std::invalid_argument unless 0 <= count < healthy nodes, and
-/// std::runtime_error if no valid placement is found within `maxAttempts`.
+/// std::runtime_error if the existing pattern is already disconnected
+/// (checked once, after the first failed draw) or no valid placement is
+/// found within `maxAttempts`.
 std::vector<NodeId> applyRandomNodeFaults(FaultSet& faults, int count, Rng& rng,
                                           int maxAttempts = 1000);
 

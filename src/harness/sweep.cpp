@@ -1,21 +1,15 @@
 #include "src/harness/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
 
-#include "src/sim/engine_mt.hpp"
-
 namespace swft {
 
-unsigned sweepPoolThreads(int requested, unsigned hardwareConcurrency,
-                          int maxSimThreads) noexcept {
-  const unsigned hc = std::max(1u, hardwareConcurrency);
-  const unsigned sim = static_cast<unsigned>(std::max(1, maxSimThreads));
-  const unsigned budget = std::max(1u, hc / sim);
-  if (requested <= 0) return budget;
-  const unsigned want = static_cast<unsigned>(requested);
-  return sim <= 1 ? want : std::min(want, budget);
+unsigned sweepPoolThreads(int requested, unsigned hardwareConcurrency) noexcept {
+  if (requested <= 0) return std::max(1u, hardwareConcurrency);
+  return static_cast<unsigned>(requested);
 }
 
 std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
@@ -23,17 +17,8 @@ std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
   std::vector<SweepRow> rows(points.size());
   if (points.empty()) return rows;
 
-  // Oversubscription guard: a sparse-mt point spins up its own domain
-  // workers, so the pool budget shrinks by the widest point in the grid.
-  int maxSim = 1;
-  for (const SweepPoint& p : points) {
-    if (p.cfg.engine != EngineKind::SparseMt) continue;
-    int nodes = 1;
-    for (int d = 0; d < p.cfg.dims; ++d) nodes *= p.cfg.radix;
-    maxSim = std::max(maxSim, mtEffectiveDomains(nodes, p.cfg.simThreads));
-  }
   unsigned nThreads =
-      sweepPoolThreads(threads, std::thread::hardware_concurrency(), maxSim);
+      sweepPoolThreads(threads, std::thread::hardware_concurrency());
   nThreads = std::min<unsigned>(nThreads, static_cast<unsigned>(points.size()));
 
   std::atomic<std::size_t> nextIndex{0};

@@ -17,13 +17,10 @@ namespace swft {
 /// event-sparse engine: a calendar queue for generation, active-set bitsets
 /// for injection and router sweeps, contiguous arena storage. `Dense` is the
 /// straightforward all-nodes reference sweep retained for equivalence
-/// testing and as the "before" side of the perf baseline. `SparseMt` is the
-/// domain-decomposed multithreaded variant of the sparse engine: the torus
-/// is partitioned into contiguous node-id domains (`simThreads` workers)
-/// with a barrier-phased cycle (DESIGN.md §6). All three produce
-/// bit-identical SimResults by construction — at every thread count —
-/// (see DESIGN.md); anything else is a bug.
-enum class EngineKind : std::uint8_t { Sparse = 0, Dense = 1, SparseMt = 2 };
+/// testing and as the "before" side of the perf baseline. Both produce
+/// bit-identical SimResults by construction (see DESIGN.md); anything else
+/// is a bug.
+enum class EngineKind : std::uint8_t { Sparse = 0, Dense = 1 };
 
 /// Declarative fault pattern: applied to a fresh FaultSet at network build.
 struct FaultSpec {
@@ -66,15 +63,11 @@ struct SimConfig {
   std::uint64_t seed = 1;
   // --- engine ----------------------------------------------------------
   EngineKind engine = EngineKind::Sparse;
-  // Worker threads for EngineKind::SparseMt (ignored by the other engines).
-  // Clamped to the node count at network build; results are bit-identical
-  // at every value by construction.
-  int simThreads = 1;
   // Collect per-phase wall-clock timers during the run (`phase_timers=1`,
-  // `swft_bench --phase-timers`). runSimulation prints one line per engine
-  // thread to stderr; Network::phaseShards() exposes them programmatically.
-  // Diagnostic only — never affects simulated results, and (like engine /
-  // simThreads) it is excluded from the canonical result-cache key.
+  // `swft_bench --phase-timers`). runSimulation prints them on one stderr
+  // line; Network::phaseShards() exposes them programmatically. Diagnostic
+  // only — never affects simulated results, and (like engine) it is excluded
+  // from the canonical result-cache key.
   bool phaseTimers = false;
 
   [[nodiscard]] std::string routingName() const {

@@ -58,7 +58,7 @@ std::string canonicalConfigKey(const SimConfig& cfg, std::uint32_t semanticsVers
   os << "|warmup=" << cfg.warmupMessages << "|measured=" << cfg.measuredMessages
      << "|maxcyc=" << cfg.maxCycles << "|dlwin=" << cfg.deadlockWindow
      << "|seed=" << cfg.seed;
-  // cfg.engine / cfg.simThreads intentionally absent: bit-identical engines
+  // cfg.engine intentionally absent: bit-identical engines
   // share one content address, so cached results interchange across them.
   // cfg.phaseTimers is likewise absent — it only adds wall-clock
   // instrumentation and never changes the simulated outcome.

@@ -4,10 +4,10 @@
 // same canonical key; any configuration change that can alter a result maps
 // to a different key. Concretely: every semantic field (topology, router
 // shape, workload, routing, faults, measurement protocol, seed) is written
-// in a fixed order with exact value encodings, while the engine selector and
-// `sim_threads` are deliberately EXCLUDED — the dense, sparse and sparse-mt
-// engines are proven bit-identical at every thread count (DESIGN.md §4/§6),
-// so a result simulated by any of them satisfies a lookup from any other.
+// in a fixed order with exact value encodings, while the engine selector is
+// deliberately EXCLUDED — the dense and sparse engines are proven
+// bit-identical (DESIGN.md §4), so a result simulated by either satisfies a
+// lookup from the other.
 //
 // The key embeds kEngineSemanticsVersion. Any PR that changes what a
 // simulation computes for a fixed config — RNG draw order, arbitration
@@ -37,7 +37,7 @@ inline constexpr std::uint32_t kEngineSemanticsVersion = 1;
 
 /// Single-line canonical serialization of every semantic field of `cfg`,
 /// in fixed order, prefixed with the format tag and `semanticsVersion`.
-/// Excludes cfg.engine and cfg.simThreads (see header comment).
+/// Excludes cfg.engine and cfg.phaseTimers (see header comment).
 [[nodiscard]] std::string canonicalConfigKey(
     const SimConfig& cfg, std::uint32_t semanticsVersion = kEngineSemanticsVersion);
 

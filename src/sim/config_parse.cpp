@@ -5,6 +5,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/router/flit.hpp"
+#include "src/routing/vc_partition.hpp"
+
 namespace swft {
 
 namespace {
@@ -134,15 +137,8 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
       cfg.engine = EngineKind::Sparse;
     } else if (value == "dense") {
       cfg.engine = EngineKind::Dense;
-    } else if (value == "sparse-mt") {
-      cfg.engine = EngineKind::SparseMt;
     } else {
-      fail("config: engine must be sparse|dense|sparse-mt, got '" + value + "'");
-    }
-  } else if (key == "sim_threads") {
-    cfg.simThreads = static_cast<int>(parseInt(key, value));
-    if (cfg.simThreads < 1) {
-      fail("config: sim_threads must be >= 1, got '" + value + "'");
+      fail("config: engine must be sparse|dense, got '" + value + "'");
     }
   } else if (key == "phase_timers") {
     cfg.phaseTimers = parseInt(key, value) != 0;
@@ -160,6 +156,21 @@ SimConfig parseConfig(std::span<const std::string> assignments, const SimConfig&
 }
 
 void validate(const SimConfig& cfg) {
+  // Router shape: the same ranges VcPartition and RouterArena enforce, named
+  // by key here so bad input is refused before any construction.
+  if (cfg.vcs < 2 || cfg.vcs > kMaxVcs) {
+    fail("config: vcs must be in 2.." + std::to_string(kMaxVcs) + ", got " +
+         std::to_string(cfg.vcs));
+  }
+  if (cfg.routing == RoutingMode::Adaptive &&
+      (cfg.escapeVcs < 2 || cfg.escapeVcs > cfg.vcs || cfg.escapeVcs % 2 != 0)) {
+    fail("config: escape_vcs must be even and in [2, vcs=" + std::to_string(cfg.vcs) +
+         "] under adaptive routing, got " + std::to_string(cfg.escapeVcs));
+  }
+  if (cfg.bufferDepth < 1 || cfg.bufferDepth > FlitFifo::kMaxDepth) {
+    fail("config: buffer_depth must be in 1.." + std::to_string(FlitFifo::kMaxDepth) +
+         ", got " + std::to_string(cfg.bufferDepth));
+  }
   if (cfg.messageLength < 1 || cfg.messageLength > kMaxMessageLength) {
     fail("config: msg_length must be in 1.." + std::to_string(kMaxMessageLength) +
          ", got " + std::to_string(cfg.messageLength));
@@ -176,6 +187,10 @@ void validate(const SimConfig& cfg) {
   if (cfg.reinjectDelay < 0) {
     fail("config: delta must be >= 0, got " + std::to_string(cfg.reinjectDelay));
   }
+  // A run needs at least one cycle and something to measure; zero would be
+  // reported as "saturated" or "completed" without simulating anything.
+  if (cfg.maxCycles < 1) fail("config: max_cycles must be >= 1, got 0");
+  if (cfg.measuredMessages < 1) fail("config: measured must be >= 1, got 0");
   // At least two nodes must stay healthy. An out-of-range k or n is left to
   // the topology, which names it.
   if (cfg.radix >= 2 && cfg.dims >= 1 && cfg.dims <= kMaxDims) {

@@ -22,14 +22,13 @@
 #include <bit>
 #include <cassert>
 
-#include "src/sim/engine_mt.hpp"
 #include "src/sim/link_qual.hpp"
 #include "src/sim/network.hpp"
 #include "src/util/simd.hpp"
 
 // Per-phase wall-clock breakdown is a *runtime* option now (`phase_timers=1`
 // on the swft_sim command line, `--phase-timers` on swft_bench): PhaseClock
-// against Network::phaseShard(0), a no-op when the flag is off. The old
+// against Network::phaseTimers(), a no-op when the flag is off. The old
 // SWFT_PHASE_TIMERS compile-time define is gone.
 
 // Temporary event-count instrumentation (diagnostics only, off by default).
@@ -87,8 +86,6 @@ namespace swft {
 void Network::advanceCycle() {
   if (cfg_.engine == EngineKind::Dense) {
     advanceCycleDense();
-  } else if (cfg_.engine == EngineKind::SparseMt) {
-    mt_->advanceCycle();
   } else {
     advanceCycleSparse();
   }
@@ -101,7 +98,7 @@ void Network::advanceCycle() {
 }
 
 void Network::advanceCycleSparse() {
-  PhaseClock clock(phaseShard(0));
+  PhaseClock clock(phaseTimers());
   SWFT_EC_ADD(cycles, 1);
   // Phase 1a: generation, due PEs only. The calendar returns them ascending
   // by id — the order the dense sweep would reach them — so the global
@@ -118,8 +115,8 @@ void Network::advanceCycleSparse() {
   // Phase 1b: injection, only PEs with queued or streaming work, ascending.
   // stepInjection on a workless node is a no-op with no RNG draws, so the
   // conservative bitset (cleared lazily here) cannot change results.
-  // (stepInjection never marks work on other nodes, so the SIMD skip over
-  // zero words cannot miss a bit set mid-walk.)
+  // (stepInjection never marks work on other nodes, so the skip over zero
+  // words cannot miss a bit set mid-walk.)
   SWFT_EC_TSC(tInj, for (std::size_t w = simd::findNonZero(nodeWork_.data(), 0,
                                                            nodeWork_.size());
                          w < nodeWork_.size();
@@ -140,7 +137,7 @@ void Network::advanceCycleSparse() {
   // into a previously-empty buffer); the dense sweep visits such a router
   // if and only if it lies later in sweep order, so the walk re-reads the
   // current word after every step instead of iterating a stale snapshot.
-  // The SIMD scan to the next nonzero word is safe for the same reason the
+  // The scan to the next nonzero word is safe for the same reason the
   // per-word re-read is: a mid-sweep activation the dense sweep would visit
   // lies *later* in sweep order than the router that caused it, i.e. at or
   // after the scan position; a word skipped as zero can only have gained
@@ -272,17 +269,11 @@ bool Network::stepInjection(NodeId id) {
                                : FlitKind::Body;
   arena_.push(id, unitIdx, f, cycle_);
   lastMovementCycle_ = cycle_;
-  // Headers stream only into empty units (the VC chooser above requires
-  // emptiness), so idx == 0 is exactly "a new head appeared" — what the
-  // sparse-mt walk needs to fold into its precomputed candidate cards.
-  if (injFoldSink_ != nullptr && idx == 0) {
-    injFoldSink_->emplace_back(id, static_cast<std::int32_t>(unitIdx));
-  }
   if (trace_ != nullptr && idx == 0) {
     const Message& m = pool_.get(node.streaming);
-    emitTrace({m.absorptions > 0 ? TraceEvent::Kind::Reinject
-                                 : TraceEvent::Kind::Inject,
-               cycle_, id, 0, m.seq});
+    trace_->record({m.absorptions > 0 ? TraceEvent::Kind::Reinject
+                                      : TraceEvent::Kind::Inject,
+                    cycle_, id, 0, m.seq});
   }
   ++node.nextFlit;
   if (f.isTail()) {
@@ -294,21 +285,11 @@ bool Network::stepInjection(NodeId id) {
 }
 
 void Network::routeHeader(NodeId id, int unitIdx) {
-  const MsgId msgId = arena_.front(arena_.base(id) + unitIdx).msg;
-  applyRouteDecision(id, unitIdx, msgId, computeRoute(pool_.get(msgId), id));
-}
-
-RouteDecision Network::computeRoute(const Message& msg, NodeId id) const {
-  // Pure: routing functions take the message and network state by const
-  // reference and draw no RNG, which is what lets the sparse-mt engine
-  // precompute decisions in its parallel phase (DESIGN.md §6).
-  if (msg.curTarget == id) return RouteDecision::deliver();
-  if (msg.mode == RoutingMode::Adaptive) return duato_.route(msg, id, faults_, part_);
-  return ecube_.route(msg, id, faults_, part_);
-}
-
-void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
-                                 const RouteDecision& decision) {
+  Message& msg = pool_.get(arena_.front(arena_.base(id) + unitIdx).msg);
+  const RouteDecision decision =
+      msg.curTarget == id ? RouteDecision::deliver()
+      : msg.mode == RoutingMode::Adaptive ? duato_.route(msg, id, faults_, part_)
+                                          : ecube_.route(msg, id, faults_, part_);
   switch (decision.kind) {
     case RouteDecision::Kind::Deliver:
       arena_.allocateRoute(id, unitIdx, topo_.localPort(), 0,
@@ -317,7 +298,6 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
     case RouteDecision::Kind::Absorb: {
       // The required outgoing channel leads to a fault: eject here and hand
       // the message to the messaging layer (assumption (i)).
-      Message& msg = pool_.get(msgId);
       msg.blockedValid = true;
       msg.blockedDim = decision.blockedDim;
       msg.blockedDirStep = decision.blockedDirStep;
@@ -473,8 +453,8 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx, std::uint32_
     ++msg.hops;
     if ((wraps >> port) & 1u) msg.setWrapped(dimOfPort(port));
     if (trace_ != nullptr) {
-      emitTrace({TraceEvent::Kind::Hop, cycle_, id,
-                 static_cast<std::uint8_t>(port), msg.seq});
+      trace_->record({TraceEvent::Kind::Hop, cycle_, id,
+                      static_cast<std::uint8_t>(port), msg.seq});
     }
   }
   SWFT_EC_TSC_F(tPush, arena_.push(topo_.neighbor(id, port, wraps),
@@ -512,8 +492,8 @@ void Network::finalizeEjected(NodeId id, MsgId msgId) {
 
   const bool software = msg.blockedValid || (msg.absorbAtTarget && msg.curTarget == id);
   if (trace_ != nullptr) {
-    emitTrace({software ? TraceEvent::Kind::Absorb : TraceEvent::Kind::Deliver,
-               cycle_, id, 0, msg.seq});
+    trace_->record({software ? TraceEvent::Kind::Absorb : TraceEvent::Kind::Deliver,
+                    cycle_, id, 0, msg.seq});
   }
   if (!software) {
     // Final delivery: the last data flit reached the destination PE.

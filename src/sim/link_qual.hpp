@@ -1,6 +1,5 @@
-// The link-candidate qualification pass and the round-robin pick, shared by
-// the sparse engine's batched link pass (engine.cpp) and the sparse-mt
-// engine's parallel candidate-card precomputation (engine_mt.cpp).
+// The link-candidate qualification pass and the round-robin pick of the
+// sparse engine's batched link pass (engine.cpp).
 //
 // Since the arena keeps freshness, downstream credit and port membership as
 // incrementally-maintained bitmaps (router_arena.hpp, DESIGN.md §8), the
@@ -12,23 +11,12 @@
 //                                            so no extra live AND is needed)
 //   okp[port]   = ok & portMembers[port]    (the per-port membership rows
 //                                            are contiguous, W words each)
-//   blocked     = fresh & routed & ~downOk  (optional, mt only: candidates
-//                                            stalled only on credit)
-//
-// The mt engine consumes `blocked` at P1: its baton re-checks exactly those
-// bits against virtual credits (size_ + sizeDelta_), keeping the callable
-// form off the fast path. A card candidate's credit can only *improve*
-// before its router's baton turn (pops by earlier routers free slots; the
-// only pusher into its downstream unit is this router itself, by output-VC
-// ownership), so qualified-at-snapshot candidates never need re-checking —
-// see DESIGN.md §6. The mt engine batches W == 1 configurations only.
 #pragma once
 
 #include <bit>
 #include <cassert>
 #include <cstdint>
 
-#include "src/sim/router_arena.hpp"
 #include "src/util/simd.hpp"
 
 namespace swft {
@@ -36,7 +24,7 @@ namespace swft {
 /// The port sweep over W-word rows: okp[p * W + w] = ok[w] & members[p * W
 /// + w] for p in [0, ports). Returns the mask with bit p set iff port p has
 /// a qualified candidate. Assigns every row — callers need no zeroing
-/// prelude. W == 1 is the SIMD sweep of simd.hpp (scalar/vector seam).
+/// prelude. W == 1 is simd.hpp's one-word sweep.
 template <int W>
 [[gnu::always_inline]] inline std::uint64_t qualifyPortRows(
     const std::uint64_t* ok, const std::uint64_t* members, std::uint64_t* okp,
@@ -83,27 +71,6 @@ template <int W>
     assert(row[cw] != 0);
     return cw * 64 + std::countr_zero(row[cw]);
   }
-}
-
-/// One pass over router `id`'s qualification bitmaps for a one-word router
-/// row (the sparse-mt engine's P1 precomputation): qualified candidate bits
-/// land in okp[port] (all `ports` rows assigned), and the returned mask has
-/// bit `port` set iff the port has at least one qualified candidate. When
-/// `blockedOut` is non-null it receives the fresh-but-credit-starved
-/// candidate bits. The ejection port's downstream is the arena's credit
-/// sink, whose creditOk_ bits are pinned set, so no candidate needs a
-/// locality branch.
-[[gnu::always_inline]] inline std::uint64_t qualifyLinkCandidates(
-    const RouterArena& a, NodeId id, std::uint64_t* okp, int ports,
-    std::uint64_t* blockedOut = nullptr) {
-  assert(a.occWordsPerRouter() == 1);
-  const std::uint64_t fresh = a.freshWords(id)[0];
-  const std::uint64_t downOk = a.downOkWords(id)[0];
-  const std::uint64_t ok = fresh & downOk;
-  if (blockedOut != nullptr) {
-    *blockedOut = fresh & a.routedWords(id)[0] & ~downOk;
-  }
-  return qualifyPortRows<1>(&ok, a.portMembers(id, 0), okp, ports);
 }
 
 }  // namespace swft

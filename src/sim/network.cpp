@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "src/sim/engine_mt.hpp"
-
 namespace swft {
 
 namespace {
@@ -92,16 +90,8 @@ Network::Network(const SimConfig& cfg)
     windowOpen_ = true;
     windowStartCycle_ = 0;
   }
-  // Slot 0 (the main/baton thread); the mt engine widens this to one slot
-  // per domain before its workers spawn.
   if (cfg.phaseTimers) phaseShards_.resize(1);
-  if (cfg.engine == EngineKind::SparseMt) {
-    // Last: the engine captures the fully-built network (caches, arena).
-    mt_ = std::make_unique<MtEngine>(*this, cfg.simThreads);
-  }
 }
-
-Network::~Network() = default;  // here: ~MtEngine needs the complete type
 
 MsgId Network::injectTestMessage(NodeId src, NodeId dest, int length, RoutingMode mode) {
   if (faults_.nodeFaulty(src) || faults_.nodeFaulty(dest)) {
@@ -189,17 +179,8 @@ SimResult runSimulation(const SimConfig& cfg) {
   Network net(cfg);
   SimResult result = net.run();
   if (cfg.phaseTimers) {
-    const std::vector<PhaseBreakdown>& shards = net.phaseShards();
-    PhaseBreakdown merged;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      merged += shards[i];
-      std::fprintf(stderr, "phase timers[%zu]: %s\n", i,
-                   shards[i].toString().c_str());
-    }
-    if (shards.size() > 1) {
-      std::fprintf(stderr, "phase timers[merged]: %s\n",
-                   merged.toString().c_str());
-    }
+    std::fprintf(stderr, "phase timers[0]: %s\n",
+                 net.phaseShards()[0].toString().c_str());
   }
   return result;
 }

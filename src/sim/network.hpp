@@ -11,17 +11,14 @@
 //                                all-nodes sweep) as the reference
 //                                implementation and the "before" side of
 //                                bench/kernel_microbench's perf baseline.
-//   SparseMt (engine_mt.cpp)   — the sparse engine domain-decomposed across
-//                                `cfg.simThreads` worker threads with a
-//                                barrier-phased cycle (DESIGN.md §6).
 //
-// All engines must produce bit-identical SimResults for identical configs —
-// SparseMt at every thread count; tests/test_engine_equivalence.cpp,
-// test_engine_mt.cpp and test_engine_fuzz.cpp enforce it.
+// Both run on the calling thread; parallelism lives one level up, in the
+// sweep pool that runs independent simulations side by side (DESIGN.md §6).
+// The engines must produce bit-identical SimResults for identical configs;
+// tests/test_engine_equivalence.cpp and test_engine_fuzz.cpp enforce it.
 #pragma once
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/fault/connectivity.hpp"
@@ -40,14 +37,9 @@
 
 namespace swft {
 
-class MtEngine;
-
 class Network {
  public:
   explicit Network(const SimConfig& cfg);
-  // Out of line: ~MtEngine (joining the worker threads) needs the complete
-  // type, which this header only forward-declares.
-  ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -82,10 +74,8 @@ class Network {
   /// tracing every event is O(messages x hops) memory.
   void attachTrace(TraceRecorder* trace) noexcept { trace_ = trace; }
 
-  /// Per-engine-thread phase timers, collected when `cfg.phaseTimers` is
-  /// set (empty otherwise). Slot 0 is the main/baton thread; the sparse-mt
-  /// engine adds one slot per worker domain. Read only after run()/step()
-  /// returns — the barrier handoff makes worker slots visible then.
+  /// Phase timers, collected when `cfg.phaseTimers` is set: one slot when
+  /// set, empty otherwise.
   [[nodiscard]] const std::vector<PhaseBreakdown>& phaseShards() const noexcept {
     return phaseShards_;
   }
@@ -99,7 +89,6 @@ class Network {
 
  private:
   friend struct NetworkTestAccess;  // white-box unit tests
-  friend class MtEngine;            // the sparse-mt engine (engine_mt.cpp)
 
   // One simulation cycle: injection, route computation + VC allocation,
   // switch allocation + link traversal, ejection.
@@ -143,13 +132,6 @@ class Network {
   [[nodiscard]] std::string validateArenaRouters() const;
 
   void routeHeader(NodeId id, int unitIdx);
-  // routeHeader split for the sparse-mt engine: the pure route computation
-  // (safe to precompute in a parallel phase) and the mutating part (route
-  // allocation + the VC-allocation RNG draw, which must run at the router's
-  // dense-sweep position). routeHeader == applyRouteDecision(computeRoute).
-  [[nodiscard]] RouteDecision computeRoute(const Message& msg, NodeId id) const;
-  void applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
-                          const RouteDecision& decision);
   [[gnu::always_inline]] void ejectFlit(NodeId id, int unitIdx);
   void finalizeEjected(NodeId id, MsgId msgId);
   void scheduleReinjection(NodeId id, MsgId msgId);
@@ -205,34 +187,12 @@ class Network {
 
   TraceRecorder* trace_ = nullptr;
 
-  // When non-null (installed by the sparse-mt engine), trace events stage
-  // into this buffer instead of hitting the recorder's hash map; the mt
-  // engine flushes it FIFO while its parallel commit phase runs. Every
-  // emission site must route through emitTrace so the two paths stay in
-  // sync. All emission happens on the baton (main) thread.
-  TraceBuffer* traceSink_ = nullptr;
-
-  // Callers guard on trace_ != nullptr before building the event.
-  void emitTrace(const TraceEvent& event) {
-    if (traceSink_ != nullptr) {
-      traceSink_->stage(event);
-    } else {
-      trace_->record(event);
-    }
-  }
-
-  // Per-engine-thread phase timers; sized by the engine at construction
-  // when cfg_.phaseTimers is set, never resized mid-run.
+  // Phase timers: one slot when cfg_.phaseTimers is set, empty otherwise.
   std::vector<PhaseBreakdown> phaseShards_;
 
-  [[nodiscard]] PhaseBreakdown* phaseShard(std::size_t slot) noexcept {
-    return slot < phaseShards_.size() ? &phaseShards_[slot] : nullptr;
+  [[nodiscard]] PhaseBreakdown* phaseTimers() noexcept {
+    return phaseShards_.empty() ? nullptr : &phaseShards_[0];
   }
-
-  // When non-null (sparse-mt's ordered phase), stepInjection reports every
-  // header pushed into an empty injection unit here so the mt router walk
-  // can fold the new head into its precomputed route-candidate cards.
-  std::vector<std::pair<NodeId, std::int32_t>>* injFoldSink_ = nullptr;
 
   // --- engine counters ------------------------------------------------------
   std::uint64_t cycle_ = 0;
@@ -249,11 +209,6 @@ class Network {
   RunningStat hops_;
   bool deadlockSuspected_ = false;
   std::size_t healthyNodeCount_ = 0;
-
-  // Built only for EngineKind::SparseMt. Declared last: members destroy in
-  // reverse order, so the worker threads join before any state they touch
-  // (arena, pool, nodes) is torn down.
-  std::unique_ptr<MtEngine> mt_;
 };
 
 /// Convenience wrapper: build the network from `cfg` and run to completion.

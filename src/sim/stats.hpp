@@ -101,26 +101,14 @@ class LatencyTracker {
   std::uint64_t batchCount_ = 0;
 };
 
-/// Wall-clock seconds spent in each phase of the cycle loop, collected when
-/// `SimConfig::phaseTimers` is set (runtime flag — no rebuild needed). Each
-/// engine thread owns one shard; shards merge by order-insensitive summation,
-/// so the totals are identical no matter which thread finished first.
-///
-/// Phase meanings by engine:
-///   sparse    — kGen/kInj/kWalk only (single shard; everything is "serial")
-///   sparse-mt — slot 0 (baton thread): kCards/kLinkQual are its own P1 work,
-///               kGen/kInj/kWalk the serial P2 baton, kCommit its P3 share,
-///               kBarrier the launch/await bookkeeping; worker slots carry
-///               their P1 (cards + link qualification) and P3 (commit) time.
+/// Wall-clock seconds spent in each phase of the sparse engine's cycle loop,
+/// collected when `SimConfig::phaseTimers` is set (runtime flag — no rebuild
+/// needed). Breakdowns of several runs merge by summation (`+=`).
 struct PhaseBreakdown {
   enum Phase : int {
-    kCards = 0,    // P1: route precomputation (candidate cards)
-    kLinkQual,     // P1: link-candidate qualification pass
-    kGen,          // P2: generation calendar
-    kInj,          // P2: injection
-    kWalk,         // P2: router walk (validate + commit decisions)
-    kCommit,       // P3: deferred arena commits + stat/trace flush
-    kBarrier,      // launch/await overhead around the parallel phases
+    kGen = 0,  // generation calendar
+    kInj,      // injection
+    kWalk,     // router walk: route computation, link pass, ejection
     kPhaseCount,
   };
 
@@ -130,18 +118,8 @@ struct PhaseBreakdown {
     for (int p = 0; p < kPhaseCount; ++p) sec[p] += o.sec[p];
     return *this;
   }
-  [[nodiscard]] double total() const noexcept {
-    double t = 0.0;
-    for (double s : sec) t += s;
-    return t;
-  }
-  /// Seconds the serial baton holds exclusively (P2 = gen + inj + walk).
-  [[nodiscard]] double serial() const noexcept {
-    return sec[kGen] + sec[kInj] + sec[kWalk];
-  }
-
   static const char* phaseName(int p) noexcept;
-  /// "cards 0.993s linkq 0.210s gen 0.061s ..." — one line, for stderr.
+  /// "gen 0.061s inj 0.210s walk 0.993s" — one line, for stderr.
   [[nodiscard]] std::string toString() const;
 };
 

@@ -1,6 +1,8 @@
 # CTest smoke script: run swft_sim end-to-end in CSV mode on a small faulty
 # torus and check the exit code and output shape, then check that an
-# out-of-range msg_length, rate, td, delta or nf is refused.
+# out-of-range msg_length, rate, td, delta, nf, vcs, escape_vcs,
+# buffer_depth, max_cycles or measured, and the removed engine=sparse-mt and
+# sim_threads keys, are refused with exit code 2.
 #
 #   cmake -DSWFT_SIM=<path-to-binary> -P smoke_swft_sim.cmake
 if(NOT SWFT_SIM)
@@ -74,6 +76,28 @@ foreach(bad rate=-1 rate=nan rate=2 td=-5 delta=-3 nf=63)
     ERROR_VARIABLE badErr)
   if(badRc EQUAL 0)
     message(FATAL_ERROR "swft_sim accepted ${bad}:\n${badOut}")
+  endif()
+  if(NOT badErr MATCHES "${badKey}")
+    message(FATAL_ERROR "${bad} error does not name the key: ${badErr}")
+  endif()
+endforeach()
+
+# Router-shape and run-length values and the keys of the removed sparse-mt
+# engine are refused with the bad-arguments exit code (2), not the watchdog's
+# (1), with an error naming the key. A `|` separates extra assignments a case
+# needs; the key named is that of the last one.
+foreach(bad vcs=0 vcs=17 buffer_depth=0 routing=adaptive|escape_vcs=3
+            max_cycles=0 measured=0 engine=sparse-mt sim_threads=2)
+  string(REPLACE "|" ";" badArgs "${bad}")
+  list(GET badArgs -1 badLast)
+  string(REGEX REPLACE "=.*$" "" badKey "${badLast}")
+  execute_process(
+    COMMAND ${SWFT_SIM} --csv k=4 n=2 ${badArgs}
+    RESULT_VARIABLE badRc
+    OUTPUT_VARIABLE badOut
+    ERROR_VARIABLE badErr)
+  if(NOT badRc EQUAL 2)
+    message(FATAL_ERROR "swft_sim exited ${badRc}, not 2, on ${bad}:\n${badOut}${badErr}")
   endif()
   if(NOT badErr MATCHES "${badKey}")
     message(FATAL_ERROR "${bad} error does not name the key: ${badErr}")

@@ -77,16 +77,10 @@ SimConfig caseConfig(const EngineCase& c) {
   return cfg;
 }
 
-SimResult runWith(SimConfig cfg, EngineKind kind, int simThreads = 1) {
+SimResult runWith(SimConfig cfg, EngineKind kind) {
   cfg.engine = kind;
-  cfg.simThreads = simThreads;
   return runSimulation(cfg);
 }
-
-// The sim_threads axis of the equivalence matrix: 1 (single-domain
-// fallback), 2 and 3 (uneven 64-node partitions with mid-word boundaries),
-// 8 (the tentpole's target width).
-constexpr int kThreadAxis[] = {1, 2, 3, 8};
 
 // Exact comparison, doubles included: the engines must draw the same RNG
 // sequences and deliver the same messages in the same cycles, so even the
@@ -124,17 +118,6 @@ TEST_P(EngineEquivalence, SparseMatchesDenseBitForBit) {
   const SimResult sparse = runWith(cfg, EngineKind::Sparse);
   EXPECT_TRUE(dense.completed) << "case must finish within maxCycles";
   expectIdentical(dense, sparse);
-}
-
-TEST_P(EngineEquivalence, SparseMtMatchesDenseAtEveryThreadCount) {
-  const SimConfig cfg = caseConfig(GetParam());
-  const SimResult dense = runWith(cfg, EngineKind::Dense);
-  EXPECT_TRUE(dense.completed) << "case must finish within maxCycles";
-  for (const int threads : kThreadAxis) {
-    const SimResult mt = runWith(cfg, EngineKind::SparseMt, threads);
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    expectIdentical(dense, mt);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, EngineEquivalence, ::testing::ValuesIn(kCases),
@@ -204,7 +187,7 @@ TEST(EngineEquivalence, MatchesRecordedReferenceValues) {
 // messages 0/1 contend for the link (1,0)->(2,0), messages 2/3 for the
 // ejection channel at (2,2). Captured from both engines (identical) when
 // the batched pass landed. A diff here means the arbitration order changed.
-void runPinnedContention(EngineKind engine, int simThreads) {
+void runPinnedContention(EngineKind engine) {
   SimConfig cfg;
   cfg.radix = 4;
   cfg.dims = 2;
@@ -213,7 +196,6 @@ void runPinnedContention(EngineKind engine, int simThreads) {
   cfg.warmupMessages = 0;
   cfg.measuredMessages = 4;
   cfg.engine = engine;
-  cfg.simThreads = simThreads;
   TraceRecorder trace;
   Network net(cfg);
   net.attachTrace(&trace);
@@ -259,15 +241,7 @@ void runPinnedContention(EngineKind engine, int simThreads) {
 }
 
 TEST(EngineEquivalence, PinnedHopVectorsUnderContention) {
-  runPinnedContention(EngineKind::Sparse, 1);
-}
-
-// The same pinned commit schedule from the mt engine with the 16-node mesh
-// split into 5 domains: the contended link (1,0)->(2,0) and the ejection
-// contention at (2,2) both cross domain boundaries, so the deferred
-// cross-domain push/pop exchange must reproduce the exact dense schedule.
-TEST(EngineEquivalence, PinnedHopVectorsUnderContentionSparseMt) {
-  runPinnedContention(EngineKind::SparseMt, 5);
+  runPinnedContention(EngineKind::Sparse);
 }
 
 // Event-for-event trace agreement on a loaded case: the full per-message
@@ -277,7 +251,7 @@ TEST(EngineEquivalence, PinnedHopVectorsUnderContentionSparseMt) {
 TEST(EngineEquivalence, HopTracesMatchDenseEventForEvent) {
   SimConfig cfg = caseConfig(kCases[7]);  // transpose_adp_faulty: the busiest
   cfg.measuredMessages = 300;             // keep the traced volume bounded
-  TraceRecorder dense, sparse, mt;
+  TraceRecorder dense, sparse;
   {
     SimConfig d = cfg;
     d.engine = EngineKind::Dense;
@@ -292,28 +266,18 @@ TEST(EngineEquivalence, HopTracesMatchDenseEventForEvent) {
     net.attachTrace(&sparse);
     net.run();
   }
-  {
-    SimConfig m = cfg;
-    m.engine = EngineKind::SparseMt;
-    m.simThreads = 8;
-    Network net(m);
-    net.attachTrace(&mt);
-    net.run();
-  }
-  for (const TraceRecorder* other : {&sparse, &mt}) {
-    ASSERT_EQ(dense.messageCount(), other->messageCount());
-    ASSERT_EQ(dense.eventCount(), other->eventCount());
-    ASSERT_GT(dense.eventCount(), 0u);
-    for (const std::uint32_t seq : dense.tracedMessages()) {
-      const auto& d = dense.eventsFor(seq);
-      const auto& s = other->eventsFor(seq);
-      ASSERT_EQ(d.size(), s.size()) << "seq " << seq;
-      for (std::size_t i = 0; i < d.size(); ++i) {
-        ASSERT_TRUE(d[i].kind == s[i].kind && d[i].cycle == s[i].cycle &&
-                    d[i].node == s[i].node && d[i].port == s[i].port)
-            << "seq " << seq << " event " << i << " diverges (cycle " << d[i].cycle
-            << " vs " << s[i].cycle << ")";
-      }
+  ASSERT_EQ(dense.messageCount(), sparse.messageCount());
+  ASSERT_EQ(dense.eventCount(), sparse.eventCount());
+  ASSERT_GT(dense.eventCount(), 0u);
+  for (const std::uint32_t seq : dense.tracedMessages()) {
+    const auto& d = dense.eventsFor(seq);
+    const auto& s = sparse.eventsFor(seq);
+    ASSERT_EQ(d.size(), s.size()) << "seq " << seq;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      ASSERT_TRUE(d[i].kind == s[i].kind && d[i].cycle == s[i].cycle &&
+                  d[i].node == s[i].node && d[i].port == s[i].port)
+          << "seq " << seq << " event " << i << " diverges (cycle " << d[i].cycle
+          << " vs " << s[i].cycle << ")";
     }
   }
 }
@@ -413,37 +377,23 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
   denseCfg.engine = EngineKind::Dense;
   SimConfig sparseCfg = cfg;
   sparseCfg.engine = EngineKind::Sparse;
-  // The mt engine joins the lockstep at three domains: 16 nodes split 6/5/5,
-  // so cross-domain links and mid-word domain boundaries are exercised on
-  // every cycle, and the invariant validator sees the post-commit arena.
-  SimConfig mtCfg = cfg;
-  mtCfg.engine = EngineKind::SparseMt;
-  mtCfg.simThreads = 3;
   Network dense(denseCfg);
   Network sparse(sparseCfg);
-  Network mt(mtCfg);
   for (int c = 0; c < 500; ++c) {
     dense.step(1);
     sparse.step(1);
-    mt.step(1);
     ASSERT_EQ(dense.generated(), sparse.generated()) << "cycle " << c;
     ASSERT_EQ(dense.delivered(), sparse.delivered()) << "cycle " << c;
     ASSERT_EQ(dense.inFlight(), sparse.inFlight()) << "cycle " << c;
-    ASSERT_EQ(dense.generated(), mt.generated()) << "cycle " << c;
-    ASSERT_EQ(dense.delivered(), mt.delivered()) << "cycle " << c;
-    ASSERT_EQ(dense.inFlight(), mt.inFlight()) << "cycle " << c;
     ASSERT_NO_FATAL_FAILURE(checkConservation(dense, sparse, c));
-    ASSERT_NO_FATAL_FAILURE(checkConservation(dense, mt, c));
     // Arena-invariant oracle: every cycle, recompute the incremental
     // qualification bitmaps (fresh/creditOk/downOk/portMembers + feeder
     // edges) from scratch from scalar state and require exact equality
     // with the incrementally-maintained masks.
     ASSERT_EQ(sparse.arena().auditMasks(sparse.now() - 1), "") << "cycle " << c;
-    ASSERT_EQ(mt.arena().auditMasks(mt.now() - 1), "") << "cycle " << c;
     if (c % 25 == 0) {
       ASSERT_EQ(dense.validateInvariants(), "") << "cycle " << c;
       ASSERT_EQ(sparse.validateInvariants(), "") << "cycle " << c;
-      ASSERT_EQ(mt.validateInvariants(), "") << "cycle " << c;
     }
   }
 }
@@ -483,13 +433,29 @@ TEST(EngineEquivalence, EngineKeyParses) {
   EXPECT_EQ(cfg.engine, EngineKind::Dense);
   applyConfigAssignment(cfg, "engine=sparse");
   EXPECT_EQ(cfg.engine, EngineKind::Sparse);
-  applyConfigAssignment(cfg, "engine=sparse-mt");
-  EXPECT_EQ(cfg.engine, EngineKind::SparseMt);
-  applyConfigAssignment(cfg, "sim_threads=8");
-  EXPECT_EQ(cfg.simThreads, 8);
   EXPECT_THROW(applyConfigAssignment(cfg, "engine=warp"), std::invalid_argument);
-  EXPECT_THROW(applyConfigAssignment(cfg, "sim_threads=0"), std::invalid_argument);
-  EXPECT_THROW(applyConfigAssignment(cfg, "sim_threads=-2"), std::invalid_argument);
+}
+
+// phase_timers=1 only adds wall-clock bookkeeping: the sparse engine's
+// results must stay bit-identical with the flag on.
+TEST(EngineEquivalence, PhaseTimersDoNotPerturbResults) {
+  SimConfig plain;
+  plain.radix = 3;
+  plain.dims = 2;
+  plain.vcs = 3;
+  plain.escapeVcs = 2;
+  plain.messageLength = 8;
+  plain.injectionRate = 0.02;
+  plain.routing = RoutingMode::Adaptive;
+  plain.warmupMessages = 60;
+  plain.measuredMessages = 300;
+  plain.maxCycles = 200'000;
+  plain.seed = 1109;
+  SimConfig timed = plain;
+  timed.phaseTimers = true;
+  const SimResult a = runWith(plain, EngineKind::Sparse);
+  EXPECT_TRUE(a.completed);
+  expectIdentical(a, runWith(timed, EngineKind::Sparse));
 }
 
 }  // namespace

@@ -6,10 +6,9 @@
 // the full configuration space (topology size and dimensionality, VC counts
 // including routers wider than one and two 64-bit rows, buffer depths,
 // routing mode, every traffic pattern, fault counts, router decision time,
-// message lengths, injection rates) and runs each under all three engines to
-// completion — dense, sparse, and sparse-mt twice, with
-// sim_threads axes cycling {1, 2, 3, 8} and {2, 5, 8} — requiring
-// bit-identical SimResults: exact double equality, no tolerance.
+// message lengths, injection rates) and runs each to completion under both
+// engines, dense and sparse, requiring bit-identical SimResults: exact
+// double equality, no tolerance.
 //
 // On a mismatch the failing point is printed as a ready-to-paste
 // `swft_sim`-style key=value string (the config_parse.hpp grammar) so a
@@ -35,7 +34,6 @@
 #include "src/sim/stats.hpp"
 #include "src/traffic/patterns.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/simd.hpp"
 
 namespace swft {
 namespace {
@@ -188,31 +186,15 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   std::uint64_t ran = 0, disconnected = 0;
   std::uint64_t ranOver64 = 0, ranOver128 = 0;  // compared configs by router width
   std::uint64_t totalDelivered = 0, completedRuns = 0;
-  // Scalar-vs-vector rotation axis: odd indices force the SIMD layer's
-  // scalar fallback for the sparse and mt runs of that config. The dense
-  // reference never touches the SIMD paths, so the exact-double comparisons
-  // below simultaneously assert scalar == vector == dense. An environment
-  // override (SWFT_FORCE_SCALAR=1, as in the sanitizer CI job) pins every
-  // index scalar instead.
-  const bool envForcedScalar = simd::forceScalar();
   for (std::uint64_t i = 0; i < configs; ++i) {
-    const bool forcedScalar = envForcedScalar || (i % 2) != 0;
-    simd::setForceScalar(forcedScalar);
     Rng rng(baseSeed);
     rng = rng.split(i);
     SimConfig cfg = drawConfig(rng, i);
     const auto reproOf = [&](const SimConfig& c) {
       return "repro: " + reproString(c) + "  (fuzz index " + std::to_string(i) +
-             ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) +
-             (forcedScalar ? ", SWFT_FORCE_SCALAR=1" : "") + ")";
+             ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) + ")";
     };
     std::string repro = reproOf(cfg);
-
-    // sim_threads axis for the sparse-mt run: rotate through single-domain,
-    // small odd/even splits, and a count that often exceeds small tori (the
-    // engine clamps to one domain per node).
-    constexpr int kThreadAxis[] = {1, 2, 3, 8};
-    const int simThreads = kThreadAxis[i % (sizeof(kThreadAxis) / sizeof(kThreadAxis[0]))];
 
     cfg.engine = EngineKind::Dense;
     SimResult dense;
@@ -220,11 +202,8 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
       dense = runSimulation(cfg);
     } catch (const std::runtime_error&) {
       // Random faults occasionally disconnect a small torus; the sparse
-      // builds must reject the identical pattern the same way.
+      // build must reject the identical pattern the same way.
       cfg.engine = EngineKind::Sparse;
-      EXPECT_THROW((void)runSimulation(cfg), std::runtime_error) << repro;
-      cfg.engine = EngineKind::SparseMt;
-      cfg.simThreads = simThreads;
       EXPECT_THROW((void)runSimulation(cfg), std::runtime_error) << repro;
       ++disconnected;
       // A wide draw is the sweep's coverage of its row width, so it is
@@ -238,25 +217,6 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
     cfg.engine = EngineKind::Sparse;
     const SimResult sparse = runSimulation(cfg);
     expectIdentical(sparse, dense, repro);
-    cfg.engine = EngineKind::SparseMt;
-    cfg.simThreads = simThreads;
-    const SimResult mt = runSimulation(cfg);
-    expectIdentical(mt, dense,
-                    repro + " engine=sparse-mt sim_threads=" +
-                        std::to_string(simThreads));
-    // Fourth engine-config rotation: a second sparse-mt run on an offset
-    // axis so every point also runs a genuinely multi-domain split — the
-    // {2, 5, 8} axis has no single-domain slot and its prime 5-way partition
-    // never divides the common even tori, forcing uneven domains with
-    // candidate cards on both sides of every boundary.
-    constexpr int kThreadAxis2[] = {2, 5, 8};
-    const int simThreads2 =
-        kThreadAxis2[i % (sizeof(kThreadAxis2) / sizeof(kThreadAxis2[0]))];
-    cfg.simThreads = simThreads2;
-    const SimResult mt2 = runSimulation(cfg);
-    expectIdentical(mt2, dense,
-                    repro + " engine=sparse-mt sim_threads=" +
-                        std::to_string(simThreads2));
     ++ran;
     if (unitsPerRouter(cfg) > 64) ++ranOver64;
     if (unitsPerRouter(cfg) > 128) ++ranOver128;
@@ -264,11 +224,9 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
     if (dense.completed) ++completedRuns;
 
     if (::testing::Test::HasFailure()) {
-      simd::setForceScalar(envForcedScalar);
       FAIL() << "stopping at first divergent config\n" << repro;
     }
   }
-  simd::setForceScalar(envForcedScalar);
   RecordProperty("configs_compared", static_cast<int>(ran));
   RecordProperty("configs_disconnected", static_cast<int>(disconnected));
   RecordProperty("configs_completed", static_cast<int>(completedRuns));

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/util/rng.hpp"
-#include "src/util/simd.hpp"
 
 namespace swft {
 namespace {
@@ -117,9 +116,7 @@ TYPED_TEST(LinkQualWidth, PortSweepMatchesPerBitAnd) {
   constexpr int W = TypeParam::value;
   constexpr int kPorts = 17;
   Rng rng(0xa11ce000u + W);
-  const bool envScalar = simd::forceScalar();
   for (int trial = 0; trial < 500; ++trial) {
-    simd::setForceScalar(trial % 2 != 0);
     const int ports = 1 + trial % kPorts;
     std::uint64_t ok[W];
     std::uint64_t members[kPorts * W];
@@ -142,7 +139,6 @@ TYPED_TEST(LinkQualWidth, PortSweepMatchesPerBitAnd) {
     }
     ASSERT_EQ(pm, expectPm) << "W=" << W << " trial " << trial;
   }
-  simd::setForceScalar(envScalar);
 }
 
 }  // namespace

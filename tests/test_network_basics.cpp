@@ -112,6 +112,29 @@ TEST(NetworkBasics, ValidateRejectsOutOfRangeValues) {
       {"delta", "-3", [](SimConfig& c) { c.reinjectDelay = -3; }},
       {"nf", "63", [](SimConfig& c) { c.faults.randomNodes = 63; }},
       {"nf", "-1", [](SimConfig& c) { c.faults.randomNodes = -1; }},
+      {"vcs", "0", [](SimConfig& c) { c.vcs = 0; }},
+      {"vcs", "1", [](SimConfig& c) { c.vcs = 1; }},
+      {"vcs", "17", [](SimConfig& c) { c.vcs = 17; }},
+      {"escape_vcs", "3",
+       [](SimConfig& c) {
+         c.routing = RoutingMode::Adaptive;
+         c.escapeVcs = 3;
+       }},
+      {"escape_vcs", "0",
+       [](SimConfig& c) {
+         c.routing = RoutingMode::Adaptive;
+         c.escapeVcs = 0;
+       }},
+      {"escape_vcs", "6",
+       [](SimConfig& c) {
+         c.routing = RoutingMode::Adaptive;
+         c.vcs = 4;
+         c.escapeVcs = 6;
+       }},
+      {"buffer_depth", "0", [](SimConfig& c) { c.bufferDepth = 0; }},
+      {"buffer_depth", "17", [](SimConfig& c) { c.bufferDepth = 17; }},
+      {"max_cycles", "0", [](SimConfig& c) { c.maxCycles = 0; }},
+      {"measured", "0", [](SimConfig& c) { c.measuredMessages = 0; }},
   };
   for (const Bad& b : bad) {
     SimConfig cfg = quietConfig(8, 2);
@@ -134,6 +157,21 @@ TEST(NetworkBasics, ValidateRejectsOutOfRangeValues) {
   edge.faults.randomNodes = 0;
   edge.routerDecisionTime = 0;
   edge.reinjectDelay = 0;
+  EXPECT_NO_THROW(validate(edge));
+  edge.vcs = 16;
+  edge.bufferDepth = 16;
+  edge.routing = RoutingMode::Adaptive;
+  edge.escapeVcs = 16;
+  edge.maxCycles = 1;
+  edge.measuredMessages = 1;
+  EXPECT_NO_THROW(validate(edge));
+  edge.vcs = 2;
+  edge.escapeVcs = 2;
+  edge.bufferDepth = 1;
+  EXPECT_NO_THROW(validate(edge));
+  // escape_vcs is read only under adaptive routing.
+  edge.routing = RoutingMode::Deterministic;
+  edge.escapeVcs = 3;
   EXPECT_NO_THROW(validate(edge));
 }
 

@@ -189,6 +189,30 @@ TEST(RandomFaults, ValidatesAgainstExistingLinkFaults) {
   }
 }
 
+// Two full columns of an 8-ary 2-cube cut the column between them off. No
+// single random fault can reconnect it, so the placement must refuse the
+// pattern as disconnected after its first failed draw instead of redrawing
+// until the attempt budget runs out.
+TEST(RandomFaults, RefusesAnAlreadyDisconnectedPattern) {
+  const TorusTopology topo(8, 2);
+  FaultSet faults(topo);
+  RegionSpec spec = makeSpec(RegionShape::II, 1, 8, topo);
+  spec.anchor[0] = 2;
+  spec.anchor[1] = 0;
+  applyRegion(faults, spec);
+  ASSERT_FALSE(healthyNetworkConnected(faults));
+  const int before = faults.faultyNodeCount();
+  Rng rng(1);
+  try {
+    (void)applyRandomNodeFaults(faults, 1, rng);
+    ADD_FAILURE() << "a disconnected pattern was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("disconnects the network"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(faults.faultyNodeCount(), before);
+}
+
 TEST(RandomFaults, StacksOnExistingFaultsWithoutOverlap) {
   const TorusTopology topo(8, 2);
   FaultSet faults(topo);

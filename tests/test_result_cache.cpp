@@ -173,14 +173,13 @@ TEST(CanonicalKey, BitIdenticalEnginesCollapseToOneKey) {
   base.seed = 99;
   const std::string key = canonicalConfigKey(base);
 
-  for (const EngineKind engine :
-       {EngineKind::Sparse, EngineKind::Dense, EngineKind::SparseMt}) {
-    for (const int threads : {1, 2, 5, 8}) {
+  for (const EngineKind engine : {EngineKind::Sparse, EngineKind::Dense}) {
+    for (const bool timers : {false, true}) {
       SimConfig c = base;
       c.engine = engine;
-      c.simThreads = threads;
+      c.phaseTimers = timers;
       EXPECT_EQ(canonicalConfigKey(c), key)
-          << "engine=" << static_cast<int>(engine) << " sim_threads=" << threads;
+          << "engine=" << static_cast<int>(engine) << " phase_timers=" << timers;
     }
   }
 }
@@ -293,10 +292,6 @@ TEST(ResultCache, EnginesShareEntries) {
   sparse.engine = EngineKind::Sparse;
   EXPECT_TRUE(cache.store(sparse, trickyResult()));
 
-  SimConfig mt = sparse;
-  mt.engine = EngineKind::SparseMt;
-  mt.simThreads = 8;
-  EXPECT_TRUE(cache.lookup(mt).has_value());
   SimConfig dense = sparse;
   dense.engine = EngineKind::Dense;
   EXPECT_TRUE(cache.lookup(dense).has_value());

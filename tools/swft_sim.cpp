@@ -21,7 +21,7 @@ void printUsage() {
       "usage: swft_sim [--csv] key=value...\n"
       "keys: k n vcs escape_vcs buffer_depth msg_length rate routing traffic\n"
       "      hotspot_fraction delta td nf region warmup measured max_cycles\n"
-      "      seed livelock_threshold engine sim_threads phase_timers\n"
+      "      seed livelock_threshold engine phase_timers\n"
       "examples:\n"
       "  swft_sim k=8 n=3 vcs=10 rate=0.007 routing=adaptive nf=12\n"
       "  swft_sim k=8 n=2 region=U:4x3@2,2 routing=det rate=0.004\n"
