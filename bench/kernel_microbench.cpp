@@ -162,7 +162,8 @@ void BM_Qualify(benchmark::State& state) {
   // gather + arrival compare + downstream size probe per live unit),
   // arg 1 = the arena-bitmap pass the link pass runs (qualifyPortRows<1>).
   constexpr int kPorts = 5, kVcs = 10, kDepth = 4;
-  RouterArena a(2, kPorts, kPorts - 1, kVcs, kDepth);
+  // The reference arm reads front arrival stamps, so the arena keeps them.
+  RouterArena a(2, kPorts, kPorts - 1, kVcs, kDepth, /*keepArrivals=*/true);
   const int units = a.unitsPerRouter();
   // Node 0 is the router under test; spread its routed units across all
   // ports (ejection = port 4 targets the credit sink), downstream rows on

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,13 +15,19 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw std::invalid_argument(what); }
 
-long long parseInt(const std::string& key, const std::string& value) {
-  long long out = 0;
+/// Parse `value` straight into the field's type T: a value T cannot hold
+/// (too large, or negative for an unsigned field) is refused with the key
+/// named, never narrowed or wrapped.
+template <class T>
+void parseInt(const std::string& key, const std::string& value, T& field) {
+  T out{};
   const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
   if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    fail("config: '" + key + "' expects an integer, got '" + value + "'");
+    fail("config: '" + key + "' expects an integer in " +
+         std::to_string(std::numeric_limits<T>::min()) + ".." +
+         std::to_string(std::numeric_limits<T>::max()) + ", got '" + value + "'");
   }
-  return out;
+  field = out;
 }
 
 double parseDouble(const std::string& key, const std::string& value) {
@@ -60,8 +67,8 @@ RegionSpec parseRegion(const SimConfig& cfg, const std::string& value) {
   }
   const auto x = rest.find('x');
   if (x == std::string::npos) fail("config: region extents need 'E0xE1'");
-  spec.extent0 = static_cast<int>(parseInt("region", rest.substr(0, x)));
-  spec.extent1 = static_cast<int>(parseInt("region", rest.substr(x + 1)));
+  parseInt("region", rest.substr(0, x), spec.extent0);
+  parseInt("region", rest.substr(x + 1), spec.extent1);
   spec.anchor.digit.resize(static_cast<std::size_t>(cfg.dims));
   for (int d = 0; d < cfg.dims; ++d) spec.anchor[d] = static_cast<std::int16_t>(1);
   if (!anchorPart.empty()) {
@@ -69,7 +76,7 @@ RegionSpec parseRegion(const SimConfig& cfg, const std::string& value) {
     std::string digit;
     int d = 0;
     while (std::getline(ss, digit, ',') && d < cfg.dims) {
-      spec.anchor[d++] = static_cast<std::int16_t>(parseInt("region anchor", digit));
+      parseInt("region anchor", digit, spec.anchor[d++]);
     }
   }
   return spec;
@@ -86,35 +93,35 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
   const std::string value = assignment.substr(eq + 1);
 
   if (key == "k") {
-    cfg.radix = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.radix);
   } else if (key == "n") {
-    cfg.dims = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.dims);
   } else if (key == "vcs") {
-    cfg.vcs = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.vcs);
   } else if (key == "escape_vcs") {
-    cfg.escapeVcs = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.escapeVcs);
   } else if (key == "buffer_depth") {
-    cfg.bufferDepth = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.bufferDepth);
   } else if (key == "msg_length") {
-    cfg.messageLength = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.messageLength);
   } else if (key == "rate") {
     cfg.injectionRate = parseDouble(key, value);
   } else if (key == "delta") {
-    cfg.reinjectDelay = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.reinjectDelay);
   } else if (key == "td") {
-    cfg.routerDecisionTime = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.routerDecisionTime);
   } else if (key == "nf") {
-    cfg.faults.randomNodes = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.faults.randomNodes);
   } else if (key == "warmup") {
-    cfg.warmupMessages = static_cast<std::uint32_t>(parseInt(key, value));
+    parseInt(key, value, cfg.warmupMessages);
   } else if (key == "measured") {
-    cfg.measuredMessages = static_cast<std::uint32_t>(parseInt(key, value));
+    parseInt(key, value, cfg.measuredMessages);
   } else if (key == "max_cycles") {
-    cfg.maxCycles = static_cast<std::uint64_t>(parseInt(key, value));
+    parseInt(key, value, cfg.maxCycles);
   } else if (key == "seed") {
-    cfg.seed = static_cast<std::uint64_t>(parseInt(key, value));
+    parseInt(key, value, cfg.seed);
   } else if (key == "livelock_threshold") {
-    cfg.livelockThreshold = static_cast<int>(parseInt(key, value));
+    parseInt(key, value, cfg.livelockThreshold);
   } else if (key == "routing") {
     if (value == "det" || value == "deterministic") {
       cfg.routing = RoutingMode::Deterministic;
@@ -129,9 +136,6 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
     cfg.pattern = *p;
   } else if (key == "hotspot_fraction") {
     cfg.hotspotFraction = parseDouble(key, value);
-    if (cfg.hotspotFraction < 0.0 || cfg.hotspotFraction > 1.0) {
-      fail("config: hotspot_fraction must be in [0, 1], got '" + value + "'");
-    }
   } else if (key == "engine") {
     if (value == "sparse") {
       cfg.engine = EngineKind::Sparse;
@@ -141,7 +145,9 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
       fail("config: engine must be sparse|dense, got '" + value + "'");
     }
   } else if (key == "phase_timers") {
-    cfg.phaseTimers = parseInt(key, value) != 0;
+    int on = 0;
+    parseInt(key, value, on);
+    cfg.phaseTimers = on != 0;
   } else if (key == "region") {
     cfg.faults.regions.push_back(parseRegion(cfg, value));
   } else {
@@ -180,6 +186,11 @@ void validate(const SimConfig& cfg) {
     std::ostringstream got;
     got << cfg.injectionRate;
     fail("config: rate must be a finite number in [0, 1], got " + got.str());
+  }
+  if (!(cfg.hotspotFraction >= 0.0 && cfg.hotspotFraction <= 1.0)) {
+    std::ostringstream got;
+    got << cfg.hotspotFraction;
+    fail("config: hotspot_fraction must be in [0, 1], got " + got.str());
   }
   if (cfg.routerDecisionTime < 0) {
     fail("config: td must be >= 0, got " + std::to_string(cfg.routerDecisionTime));

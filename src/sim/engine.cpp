@@ -21,67 +21,40 @@
 // change live work.
 #include <bit>
 #include <cassert>
+#include <cstddef>
 
 #include "src/sim/link_qual.hpp"
 #include "src/sim/network.hpp"
-#include "src/util/simd.hpp"
 
-// Per-phase wall-clock breakdown is a *runtime* option now (`phase_timers=1`
-// on the swft_sim command line, `--phase-timers` on swft_bench): PhaseClock
-// against Network::phaseTimers(), a no-op when the flag is off. The old
-// SWFT_PHASE_TIMERS compile-time define is gone.
-
-// Temporary event-count instrumentation (diagnostics only, off by default).
-#ifdef SWFT_EVENT_COUNTS
-#include <cstdio>
-#include <x86intrin.h>
-namespace {
-struct EventCounts {
-  unsigned long long cycles = 0, routers = 0, phaseAUnits = 0, livePorts = 0,
-                     okIters = 0, commits = 0, ejections = 0;
-  unsigned long long tPhaseA = 0, tQual = 0, tWinners = 0, tOther = 0;
-  unsigned long long tPop = 0, tPush = 0, tEject = 0;
-  unsigned long long tGen = 0, tInj = 0, tWalk = 0;
-  ~EventCounts() {
-    std::fprintf(stderr,
-                 "event counts per cycle: routers %.2f phaseA %.2f livePorts "
-                 "%.2f okIters %.2f commits %.2f ejections %.2f\n",
-                 1.0 * routers / cycles, 1.0 * phaseAUnits / cycles,
-                 1.0 * livePorts / cycles, 1.0 * okIters / cycles,
-                 1.0 * commits / cycles, 1.0 * ejections / cycles);
-    std::fprintf(stderr,
-                 "tsc per cycle: phaseA %.0f qual %.0f winners %.0f other %.0f "
-                 "pop %.0f push %.0f eject %.0f\n",
-                 1.0 * tPhaseA / cycles, 1.0 * tQual / cycles,
-                 1.0 * tWinners / cycles, 1.0 * tOther / cycles,
-                 1.0 * tPop / cycles, 1.0 * tPush / cycles,
-                 1.0 * tEject / cycles);
-    std::fprintf(stderr, "tsc per cycle: gen %.0f inj %.0f walk %.0f\n",
-                 1.0 * tGen / cycles, 1.0 * tInj / cycles, 1.0 * tWalk / cycles);
-  }
-} g_ec;
-}  // namespace
-#define SWFT_EC_ADD(field, n) g_ec.field += static_cast<unsigned long long>(n)
-#define SWFT_EC_TSC(field, stmt)                  \
-  do {                                            \
-    const unsigned long long t0_ = __rdtsc();     \
-    stmt;                                         \
-    g_ec.field += __rdtsc() - t0_;                \
-  } while (0)
-// Fine-grained (per-pop/push) pairs distort the enclosing buckets by the
-// rdtsc cost; enable them separately.
-#ifdef SWFT_EVENT_COUNTS_FINE
-#define SWFT_EC_TSC_F(field, stmt) SWFT_EC_TSC(field, stmt)
-#else
-#define SWFT_EC_TSC_F(field, stmt) stmt
-#endif
-#else
-#define SWFT_EC_ADD(field, n)
-#define SWFT_EC_TSC(field, stmt) stmt
-#define SWFT_EC_TSC_F(field, stmt) stmt
-#endif
+// Per-phase wall-clock breakdown is a runtime option (`phase_timers=1` on
+// the swft_sim command line, `--phase-timers` on swft_bench): PhaseClock
+// against Network::phaseTimers(), a no-op when the flag is off.
 
 namespace swft {
+
+namespace {
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// First index in [from, n) with w[i] != 0, or n when none.
+[[nodiscard]] inline std::size_t findNonZero(const std::uint64_t* w,
+                                             std::size_t from,
+                                             std::size_t n) noexcept {
+  std::size_t i = from;
+  while (i < n && w[i] == 0) ++i;
+  return i;
+}
+
+/// Last index in [0, from] with w[i] != 0, or kNone when none.
+[[nodiscard]] inline std::size_t findNonZeroDown(const std::uint64_t* w,
+                                                 std::size_t from) noexcept {
+  for (std::size_t end = from + 1; end > 0; --end) {
+    if (w[end - 1] != 0) return end - 1;
+  }
+  return kNone;
+}
+
+}  // namespace
 
 void Network::advanceCycle() {
   if (cfg_.engine == EngineKind::Dense) {
@@ -99,17 +72,16 @@ void Network::advanceCycle() {
 
 void Network::advanceCycleSparse() {
   PhaseClock clock(phaseTimers());
-  SWFT_EC_ADD(cycles, 1);
   // Phase 1a: generation, due PEs only. The calendar returns them ascending
   // by id — the order the dense sweep would reach them — so the global
   // generation sequence numbers match. Generation touches no injection
   // state of *other* nodes, so running all generations before all
   // injections is observationally identical to the dense gen/inj interleave.
-  SWFT_EC_TSC(tGen, for (NodeId id : calendar_.takeDue(cycle_)) {
+  for (NodeId id : calendar_.takeDue(cycle_)) {
     stepGeneration(id);
     const std::uint64_t next = nodes_[id].nextGenCycle;
     if (next != ~std::uint64_t{0}) calendar_.schedule(id, next);
-  });
+  }
 
   clock.mark(PhaseBreakdown::kGen);
   // Phase 1b: injection, only PEs with queued or streaming work, ascending.
@@ -117,11 +89,9 @@ void Network::advanceCycleSparse() {
   // conservative bitset (cleared lazily here) cannot change results.
   // (stepInjection never marks work on other nodes, so the skip over zero
   // words cannot miss a bit set mid-walk.)
-  SWFT_EC_TSC(tInj, for (std::size_t w = simd::findNonZero(nodeWork_.data(), 0,
-                                                           nodeWork_.size());
-                         w < nodeWork_.size();
-                         w = simd::findNonZero(nodeWork_.data(), w + 1,
-                                               nodeWork_.size())) {
+  for (std::size_t w = findNonZero(nodeWork_.data(), 0, nodeWork_.size());
+       w < nodeWork_.size();
+       w = findNonZero(nodeWork_.data(), w + 1, nodeWork_.size())) {
     std::uint64_t bits = nodeWork_[w];
     while (bits) {
       const int b = std::countr_zero(bits);
@@ -129,7 +99,7 @@ void Network::advanceCycleSparse() {
       const auto id = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
       if (stepInjection(id)) nodeWork_[w] &= ~(1ULL << b);
     }
-  });
+  }
 
   clock.mark(PhaseBreakdown::kInj);
   // Phase 2+3: walk the live active set in the alternating sweep direction.
@@ -145,10 +115,10 @@ void Network::advanceCycleSparse() {
   const std::vector<std::uint64_t>& active = arena_.activeWords();
   const bool forward = (cycle_ & 1) == 0;
   const StepRouterFn step = stepRouterFor(arena_.occWordsPerRouter());
-  SWFT_EC_TSC(tWalk, if (forward) {
-    for (std::size_t w = simd::findNonZero(active.data(), 0, active.size());
+  if (forward) {
+    for (std::size_t w = findNonZero(active.data(), 0, active.size());
          w < active.size();
-         w = simd::findNonZero(active.data(), w + 1, active.size())) {
+         w = findNonZero(active.data(), w + 1, active.size())) {
       std::uint64_t bits = active[w];
       while (bits) {
         const int b = std::countr_zero(bits);
@@ -157,9 +127,9 @@ void Network::advanceCycleSparse() {
       }
     }
   } else {
-    for (std::size_t w = simd::findNonZeroDown(active.data(), active.size() - 1);
-         w != simd::kNone;
-         w = (w == 0) ? simd::kNone : simd::findNonZeroDown(active.data(), w - 1)) {
+    for (std::size_t w = findNonZeroDown(active.data(), active.size() - 1);
+         w != kNone;
+         w = (w == 0) ? kNone : findNonZeroDown(active.data(), w - 1)) {
       std::uint64_t bits = active[w];
       while (bits) {
         const int b = 63 - std::countl_zero(bits);
@@ -167,10 +137,10 @@ void Network::advanceCycleSparse() {
         bits = active[w] & ((1ULL << b) - 1);
       }
     }
-  });
+  }
   // Cycle-end boundary: mature the freshness snapshots (fronts pushed this
   // cycle become eligible next cycle) after the last push/pop of the cycle.
-  SWFT_EC_TSC(tOther, arena_.matureFreshness());
+  arena_.matureFreshness();
   clock.mark(PhaseBreakdown::kWalk);
 }
 
@@ -312,8 +282,8 @@ void Network::routeHeader(NodeId id, int unitIdx) {
   // Virtual-channel allocation: collect free output VCs over all candidates
   // and pick one at random (assumption (e): "chooses randomly one of the
   // available virtual channels ... that brings it closer to its destination").
-  // The per-port free-VC bitmask mirrors outOwner state, so one AND replaces
-  // the per-VC owner probes; bit iteration visits VCs in ascending order,
+  // The arena's per-port free-VC bitmask makes that one AND instead of
+  // per-VC owner probes; bit iteration visits VCs in ascending order,
   // matching the dense reference's scan (and hence its RNG draw) exactly.
   InlineVector<std::uint16_t, 128> free;  // encoded port * 16 + vc
   for (const RouteCandidate& cand : decision.candidates) {
@@ -332,7 +302,6 @@ void Network::routeHeader(NodeId id, int unitIdx) {
   const int outVc = pick % 16;
   arena_.allocateRoute(id, unitIdx, outPort, outVc,
                        cachedDownBase(id, outPort) + outVc);
-  arena_.setOutOwner(id, outPort, outVc, static_cast<std::int16_t>(unitIdx));
 }
 
 Network::StepRouterFn Network::stepRouterFor(int occWords) noexcept {
@@ -348,7 +317,6 @@ Network::StepRouterFn Network::stepRouterFor(int occWords) noexcept {
 template <int W>
 void Network::stepRouter(NodeId id) {
   assert(arena_.occWordsPerRouter() == W);
-  SWFT_EC_ADD(routers, 1);
   const int localPort = networkPorts_;
   const auto td = static_cast<std::uint64_t>(cfg_.routerDecisionTime);
   const int routerBase = arena_.base(id);
@@ -358,22 +326,16 @@ void Network::stepRouter(NodeId id) {
   // in ascending unit order. This is the only RNG-drawing part of a router
   // step, so the order must match the dense reference scan exactly.
   const std::uint64_t* routedW = arena_.routedWords(id);
-  SWFT_EC_TSC(tPhaseA, {
-    for (int w = 0; w < W; ++w) {
-      std::uint64_t bits = occ[w] & ~routedW[w];
-      while (bits) {
-        const int unitIdx = w * 64 + std::countr_zero(bits);
-        bits &= bits - 1;
-        const int g = routerBase + unitIdx;
-        SWFT_EC_ADD(phaseAUnits, 1);
-        if (!arena_.front(g).isHeader()) continue;
-        if (td != 0 && arena_.frontArrival(g) + td > cycle_) continue;  // Td model
-        routeHeader(id, unitIdx);
-      }
-    }
-  });
   for (int w = 0; w < W; ++w) {
-    SWFT_EC_ADD(okIters, std::popcount(occ[w] & routedW[w]));
+    std::uint64_t bits = occ[w] & ~routedW[w];
+    while (bits) {
+      const int unitIdx = w * 64 + std::countr_zero(bits);
+      bits &= bits - 1;
+      const int g = routerBase + unitIdx;
+      if (!arena_.front(g).isHeader()) continue;
+      if (td != 0 && arena_.frontArrival(g) + td > cycle_) continue;  // Td model
+      routeHeader(id, unitIdx);
+    }
   }
 
   // Phase B: the batched link pass. One commit per output link, ascending
@@ -406,16 +368,14 @@ void Network::stepRouter(NodeId id) {
   }
   if (any == 0) return;
   std::uint64_t okp[(2 * kMaxDims + 1) * W];
-  std::uint64_t pm;
-  SWFT_EC_TSC(tQual, pm = qualifyPortRows<W>(ok, arena_.portMembers(id, 0), okp,
-                                              localPort + 1));
+  std::uint64_t pm =
+      qualifyPortRows<W>(ok, arena_.portMembers(id, 0), okp, localPort + 1);
   // Commit per live port, ejection (the highest port) last.
   const int unitCount = arena_.unitsPerRouter();
   // Loaded once per router: reloading it in every commit (the arena's byte
   // stores may alias it) cost knee_16ary2 ~3% of its CPU time.
   const std::uint32_t wraps = topo_.wrapPorts(id);
-  SWFT_EC_TSC(tWinners, while (pm != 0) {
-    SWFT_EC_ADD(livePorts, 1);
+  while (pm != 0) {
     const int port = std::countr_zero(pm);
     pm &= pm - 1;
     const int winnerIdx = pickRoundRobin<W>(okp + port * W, arena_.cursor(id, port));
@@ -423,13 +383,11 @@ void Network::stepRouter(NodeId id) {
       arena_.setCursor(id, port,
                        static_cast<std::uint16_t>(
                            winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
-      SWFT_EC_ADD(ejections, 1);
-      SWFT_EC_TSC_F(tEject, ejectFlit(id, winnerIdx));
+      ejectFlit(id, winnerIdx);
     } else {
-      SWFT_EC_ADD(commits, 1);
       commitLink(id, port, winnerIdx, wraps);
     }
-  });
+  }
 }
 
 inline void Network::commitLink(NodeId id, int port, int winnerIdx, std::uint32_t wraps) {
@@ -439,8 +397,7 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx, std::uint32_
                        winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
   const int g = arena_.base(id) + winnerIdx;
   const int outVc = arena_.outVc(g);
-  Flit flit;
-  SWFT_EC_TSC_F(tPop, flit = arena_.pop(id, g, cycle_));
+  const Flit flit = arena_.pop(id, g);
   lastMovementCycle_ = cycle_;
   // Draining an injection unit re-arms the owning PE: it may have been
   // parked by stepInjection while this buffer was full.
@@ -457,19 +414,15 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx, std::uint32_
                       static_cast<std::uint8_t>(port), msg.seq});
     }
   }
-  SWFT_EC_TSC_F(tPush, arena_.push(topo_.neighbor(id, port, wraps),
-                                 cachedDownBase(id, port) + outVc, flit,
-                                 cycle_));
+  arena_.push(topo_.neighbor(id, port, wraps), cachedDownBase(id, port) + outVc,
+              flit, cycle_);
 
-  if (flit.isTail()) {
-    arena_.releaseRoute(id, winnerIdx);
-    arena_.setOutOwner(id, port, outVc, -1);
-  }
+  if (flit.isTail()) arena_.releaseRoute(id, winnerIdx);
 }
 
 inline void Network::ejectFlit(NodeId id, int unitIdx) {
   const int g = arena_.base(id) + unitIdx;
-  const Flit flit = arena_.pop(id, g, cycle_);
+  const Flit flit = arena_.pop(id, g);
   lastMovementCycle_ = cycle_;
   // Self-absorbed traffic can eject straight out of an injection unit; the
   // drain re-arms the owning PE just as a link traversal would.

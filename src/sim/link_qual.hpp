@@ -17,33 +17,27 @@
 #include <cassert>
 #include <cstdint>
 
-#include "src/util/simd.hpp"
-
 namespace swft {
 
 /// The port sweep over W-word rows: okp[p * W + w] = ok[w] & members[p * W
 /// + w] for p in [0, ports). Returns the mask with bit p set iff port p has
 /// a qualified candidate. Assigns every row — callers need no zeroing
-/// prelude. W == 1 is simd.hpp's one-word sweep.
+/// prelude.
 template <int W>
 [[gnu::always_inline]] inline std::uint64_t qualifyPortRows(
     const std::uint64_t* ok, const std::uint64_t* members, std::uint64_t* okp,
     int ports) noexcept {
-  if constexpr (W == 1) {
-    return simd::qualifyPorts(ok[0], members, okp, ports);
-  } else {
-    std::uint64_t pm = 0;
-    for (int p = 0; p < ports; ++p) {
-      std::uint64_t any = 0;
-      for (int w = 0; w < W; ++w) {
-        const std::uint64_t q = ok[w] & members[p * W + w];
-        okp[p * W + w] = q;
-        any |= q;
-      }
-      pm |= static_cast<std::uint64_t>(any != 0) << p;
+  std::uint64_t pm = 0;
+  for (int p = 0; p < ports; ++p) {
+    std::uint64_t any = 0;
+    for (int w = 0; w < W; ++w) {
+      const std::uint64_t q = ok[w] & members[p * W + w];
+      okp[p * W + w] = q;
+      any |= q;
     }
-    return pm;
+    pm |= static_cast<std::uint64_t>(any != 0) << p;
   }
+  return pm;
 }
 
 /// The round-robin winner of one port: the first set bit of the W-word row

@@ -46,7 +46,7 @@ Network::Network(const SimConfig& cfg)
       traffic_(cfg.pattern, faults_, cfg.hotspotFraction),
       arena_(static_cast<int>(topo_.nodeCount()), topo_.totalPorts(),
              topo_.networkPorts(), cfg.vcs, cfg.bufferDepth,
-             /*exactArrivals=*/cfg.routerDecisionTime > 0),
+             /*keepArrivals=*/cfg.routerDecisionTime > 0),
       engineRng_(Rng(cfg.seed).split(0xE61E)) {
   if (cfg.engine == EngineKind::Dense) {
     // The dense reference engine runs on the seed's per-router storage; the
@@ -221,12 +221,12 @@ std::string Network::validateInvariants() const {
 }
 
 std::string Network::validateArenaRouters() const {
-  const int vcs = cfg_.vcs;
   const int unitCount = arena_.unitsPerRouter();
   // 0. The incremental qualification bitmaps (fresh/creditOk/downOk/
-  //    portMembers and the feeder edges) match a from-scratch recomputation
-  //    from scalar state. Between cycles the freshness masks were last
-  //    maintained against the cycle that just executed.
+  //    portMembers, the feeder edges and output-VC ownership) match a
+  //    from-scratch recomputation from scalar state. Between cycles the
+  //    freshness masks were last maintained against the cycle that just
+  //    executed.
   if (std::string err =
           arena_.auditMasks(cycle_ == 0 ? 0 : cycle_ - 1);
       !err.empty()) {
@@ -254,32 +254,7 @@ std::string Network::validateArenaRouters() const {
     if (activeBit != (occupied > 0)) {
       return "active-set bit mismatch at node " + std::to_string(id);
     }
-    // 2. Output-VC ownership: every owner refers to a routed unit whose
-    //    allocation points back at exactly that (port, vc).
-    for (int port = 0; port < topo_.networkPorts(); ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
-        const std::int16_t owner = arena_.outOwner(id, port, vc);
-        if (owner < 0) continue;
-        if (owner >= unitCount) {
-          return "out-of-range output owner at node " + std::to_string(id);
-        }
-        const int g = arena_.base(id) + owner;
-        if (!arena_.routed(g) || arena_.outPort(g) != port || arena_.outVc(g) != vc) {
-          return "inconsistent output ownership at node " + std::to_string(id) +
-                 " port " + std::to_string(port) + " vc " + std::to_string(vc);
-        }
-      }
-    }
-    // 3. A routed unit targeting a network port must hold that output VC.
-    for (int u = 0; u < unitCount; ++u) {
-      const int g = arena_.base(id) + u;
-      if (!arena_.routed(g) || arena_.outPort(g) == topo_.localPort()) continue;
-      if (arena_.outOwner(id, arena_.outPort(g), arena_.outVc(g)) !=
-          static_cast<std::int16_t>(u)) {
-        return "routed unit without matching ownership at node " + std::to_string(id);
-      }
-    }
-    // 3b. The routed mask and per-port request masks mirror the route words.
+    // 2. The routed mask and per-port request masks mirror the route words.
     for (int u = 0; u < unitCount; ++u) {
       const int g = arena_.base(id) + u;
       const bool routedBit = (arena_.routedWords(id)[u >> 6] >> (u & 63)) & 1u;
@@ -296,7 +271,7 @@ std::string Network::validateArenaRouters() const {
         }
       }
     }
-    // 4. Wormhole contiguity: within a VC buffer, flits between a header and
+    // 3. Wormhole contiguity: within a VC buffer, flits between a header and
     //    its tail belong to one message, and kinds follow H (B*) T framing.
     for (int u = 0; u < unitCount; ++u) {
       const int g = arena_.base(id) + u;

@@ -1,5 +1,6 @@
 #include "src/sim/router_arena.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -7,14 +8,14 @@
 namespace swft {
 
 RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
-                         int bufferDepth, bool exactArrivals)
+                         int bufferDepth, bool keepArrivals)
     : nodes_(nodes),
       totalPorts_(totalPorts),
       networkPorts_(networkPorts),
       vcs_(vcs),
       depth_(bufferDepth),
       unitsPerRouter_(totalPorts * vcs),
-      exactArrivals_(exactArrivals) {
+      keepArrivals_(keepArrivals) {
   if (bufferDepth < 1 || bufferDepth > FlitFifo::kMaxDepth) {
     throw std::invalid_argument("RouterArena: buffer depth out of range");
   }
@@ -35,7 +36,7 @@ RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
   // The ZeroedVector resizes below write nothing: their empty state is the
   // allocator's zero fill.
   flit_.resize(slots);
-  if (exactArrivals_) arrival_.resize(slots);
+  if (keepArrivals_) arrival_.resize(slots);
   // One extra always-empty row of V units past the real ones: the credit
   // sink. The engine points the ejection port's "downstream" units here so a
   // credit probe of any port alike reads a never-full size (the sink's
@@ -53,8 +54,6 @@ RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
   routeDown_.resize(units);
   feeder_.resize(units);
   freshDirty_.resize(static_cast<std::size_t>(nodes));
-  outOwner_.resize(static_cast<std::size_t>(nodes) *
-                   static_cast<std::size_t>(networkPorts * vcs));
   ownedVc_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(networkPorts));
   allVcs_ = static_cast<std::uint16_t>((1u << vcs) - 1);
   cursor_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(totalPorts));
@@ -123,9 +122,9 @@ std::string RouterArena::auditMasks(std::uint64_t freshCycle) const {
       }
       // Front stamps never come from the future: every buffered front
       // arrived no later than the last executed cycle.
-      if (occ && meta_[g].frontArrival > freshCycle) {
+      if (occ && keepArrivals_ && frontArrival(g) > freshCycle) {
         os << "front stamp from the future at node " << id << " local "
-           << local << ": frontArrival=" << meta_[g].frontArrival
+           << local << ": frontArrival=" << frontArrival(g)
            << " last executed cycle " << freshCycle;
         return os.str();
       }
@@ -162,6 +161,27 @@ std::string RouterArena::auditMasks(std::uint64_t freshCycle) const {
              << " routeWord=" << route_[g];
           return os.str();
         }
+      }
+    }
+  }
+  // ownedVc_: exactly the output VCs that routed units hold on network
+  // ports. (That no two units hold one VC is the feeder_ audit above: both
+  // would name the same downstream unit.)
+  std::vector<std::uint16_t> expect(static_cast<std::size_t>(networkPorts_));
+  for (NodeId id = 0; id < static_cast<NodeId>(nodes_); ++id) {
+    std::fill(expect.begin(), expect.end(), std::uint16_t{0});
+    for (int local = 0; local < unitsPerRouter_; ++local) {
+      const std::uint32_t r = route_[base(id) + local];
+      if (wordRouted(r) && wordOutPort(r) < networkPorts_) {
+        expect[wordOutPort(r)] |= static_cast<std::uint16_t>(1u << wordOutVc(r));
+      }
+    }
+    for (int p = 0; p < networkPorts_; ++p) {
+      if (ownedVc_[ownedIndex(id, p)] != expect[p]) {
+        os << "ownedVc mismatch at node " << id << " port " << p
+           << ": mask=" << ownedVc_[ownedIndex(id, p)]
+           << " routed units hold " << expect[p];
+        return os.str();
       }
     }
   }

@@ -5,14 +5,15 @@
 // its own `std::vector<InputUnit>` — two pointer indirections and a ~272-byte
 // stride on every buffer access, including the credit check that `stepRouter`
 // performs on *downstream* routers for every link traversal. The arena
-// flattens all of it: flit rings, arrival stamps, ring heads/sizes, per-unit
-// routing state, output-VC ownership, round-robin cursors and occupancy
-// bitsets live in parallel arrays indexed by a global unit id
+// flattens all of it: flit rings, arrival stamps (Td > 0 only), ring
+// heads/sizes, per-unit routing state, output-VC ownership, round-robin
+// cursors and occupancy bitsets live in parallel arrays indexed by a global
+// unit id
 //
 //   globalUnit = node * unitsPerRouter + port * vcs + vc
 //
-// so the credit-check fields (`full()` == one byte compare against the shared
-// depth, `frontArrival()`) are dense and prefetch-friendly. The arena also
+// so the credit-check field (`full()` == one compare against the shared
+// depth) is dense and prefetch-friendly. The arena also
 // maintains the network-level active set (one bit per router with any
 // occupied input unit) that the event-sparse engine walks with countr_zero;
 // push/pop keep the per-router occupancy words, the occupied-unit count and
@@ -57,21 +58,13 @@ namespace swft {
 
 class RouterArena {
  public:
-  /// `exactArrivals` selects the arrival-stamp representation. With exact
-  /// stamps (default) every buffered flit keeps its arrival cycle in a ring
-  /// parallel to the flit ring — required when the router decision time Td
-  /// is nonzero, because a header's routing eligibility compares against the
-  /// true arrival cycle. With Td == 0 the only question the engine ever asks
-  /// is "did the front flit arrive strictly before the current cycle?", and
-  /// that is derivable without the ring: arrivals within one buffer strictly
-  /// increase and at most one flit enters a unit per cycle, so after a pop a
-  /// single remaining flit is the most recent push (stamp kept exactly in
-  /// `lastPush_`) while >= 2 remaining flits all arrived strictly before the
-  /// popping cycle (any stamp < now preserves every comparison). Dropping
-  /// the ring removes 8 bytes x depth-rounded slots per unit from the hot
-  /// working set.
+  /// `keepArrivals` keeps a per-flit arrival stamp in a ring parallel to
+  /// the flit ring. Only a nonzero router decision time Td reads it (a
+  /// header may route Td cycles after it arrived); with Td == 0 freshness is
+  /// the fresh_ bitmap alone, so the network builds the arena without the
+  /// ring and push/pop touch no stamp at all.
   RouterArena(int nodes, int totalPorts, int networkPorts, int vcs, int bufferDepth,
-              bool exactArrivals = true);
+              bool keepArrivals = true);
 
   // --- geometry -------------------------------------------------------------
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
@@ -94,11 +87,11 @@ class RouterArena {
   [[nodiscard]] Flit front(int u) const noexcept {
     return unpackFlit(flit_[slot(u, meta_[u].head)]);
   }
-  /// Arrival stamp of the front flit, kept beside the ring head/size: the
-  /// per-cycle eligibility checks (`departed-this-cycle`, Td) and the push/
-  /// pop updates hit the same packed record.
+  /// Arrival stamp of the front flit, read from the stamp ring (arenas
+  /// built with `keepArrivals` only). Meaningless for an empty unit.
   [[nodiscard]] std::uint64_t frontArrival(int u) const noexcept {
-    return meta_[u].frontArrival;
+    assert(!arrival_.empty());
+    return arrival_[slot(u, meta_[u].head)];
   }
   /// i-th buffered flit from the front (introspection/validation).
   [[nodiscard]] Flit flitAt(int u, int i) const noexcept {
@@ -119,7 +112,7 @@ class RouterArena {
   // are data-dependent coin flips a predictor cannot learn; every update
   // below that depends on them is a mask or a conditional move, not a
   // branch. The remaining branches are either engine constants
-  // (exactArrivals_) or rare and cheap to predict (depth crossings, whole-
+  // (keepArrivals_) or rare and cheap to predict (depth crossings, whole-
   // router active transitions). Neither touches fresh_: the row is a
   // boundary snapshot nobody reads between a router's own pops and the next
   // matureFreshness(), so both just mark the router's freshDirty_ byte —
@@ -134,16 +127,8 @@ class RouterArena {
     const std::uint16_t was = m.size;
     const int s = slot(u, (m.head + was) & strideMask_);
     flit_[s] = packFlit(f);
-    if (exactArrivals_) {
-      arrival_[s] = arrivalCycle;
-    } else {
-      m.lastPush = arrivalCycle;
-    }
+    if (keepArrivals_) arrival_[s] = arrivalCycle;
     m.size = static_cast<std::uint16_t>(was + 1);
-    const bool wasEmpty = was == 0;
-    // Only a push into an empty unit installs a new front; it matures at the
-    // next boundary sweep.
-    m.frontArrival = wasEmpty ? arrivalCycle : m.frontArrival;
     const int local = u - base(node);
     const std::uint64_t bit = 1ULL << (local & 63);
     std::uint64_t& ow = occ_[maskIndex(node, local)];
@@ -160,11 +145,7 @@ class RouterArena {
     if (m.size == depth_) creditCrossed(u, false);
   }
 
-  /// `now` is the popping cycle; in the inexact-arrival mode it feeds the
-  /// conservative front stamp (see the freshness lemma in the class comment).
-  /// Engine callers must pass the current cycle; tests running in the exact
-  /// mode may omit it.
-  Flit pop(NodeId node, int u, std::uint64_t now = 0) noexcept {
+  Flit pop(NodeId node, int u) noexcept {
     assert(u >= base(node) && u < base(node) + unitsPerRouter_);
     UnitMeta& m = meta_[u];
     const Flit f = unpackFlit(flit_[slot(u, m.head)]);
@@ -174,16 +155,6 @@ class RouterArena {
     m.size = left;
     const int local = u - base(node);
     const std::uint64_t fbit = 1ULL << (local & 63);
-    std::uint64_t fa;
-    if (exactArrivals_) {
-      fa = arrival_[slot(u, m.head)];  // stale-but-unread when emptied
-    } else {
-      // Freshness lemma: a lone survivor is the latest push; >= 2 survivors
-      // all arrived strictly before the popping cycle (see ctor comment).
-      assert(left <= 1 || now > 0);
-      fa = left == 1 ? m.lastPush : now - 1;
-    }
-    m.frontArrival = fa;
     freshDirty_[node] = 1;
     const bool emptied = left == 0;
     std::uint64_t& ow = occ_[maskIndex(node, local)];
@@ -226,7 +197,10 @@ class RouterArena {
   /// is the global index of the downstream unit the allocation feeds (the
   /// neighbour's input unit, or the credit sink for ejection); the arena
   /// snapshots its credit state into downOk_ and registers the feedback
-  /// edge so later depth crossings at the downstream keep the bit live.
+  /// edge so later depth crossings at the downstream keep the bit live. A
+  /// network-port allocation also takes the output VC out of freeVcMask:
+  /// the feeder_ edge is the VC's owner record, the ownedVc_ bit its
+  /// summary for VC allocation.
   void allocateRoute(NodeId node, int localUnit, int port, int vc,
                      int downUnit) noexcept {
     const int g = base(node) + localUnit;
@@ -244,11 +218,15 @@ class RouterArena {
     if (downUnit < creditSinkBase()) {
       assert(feeder_[downUnit] == 0);
       feeder_[downUnit] = feederWord(node, localUnit);
+      std::uint16_t& owned = ownedVc_[ownedIndex(node, port)];
+      assert(((owned >> vc) & 1u) == 0);
+      owned = static_cast<std::uint16_t>(owned | (1u << vc));
     }
   }
   void releaseRoute(NodeId node, int localUnit) noexcept {
     const int g = base(node) + localUnit;
     const int port = wordOutPort(route_[g]);
+    const int vc = wordOutVc(route_[g]);
     route_[g] &= ~1u;
     const std::uint64_t bit = 1ULL << (localUnit & 63);
     routedMask_[maskIndex(node, localUnit)] &= ~bit;
@@ -256,7 +234,11 @@ class RouterArena {
     downOk_[maskIndex(node, localUnit)] &= ~bit;
     const int du = routeDown_[g] - 1;
     routeDown_[g] = 0;
-    if (du >= 0 && du < creditSinkBase()) feeder_[du] = 0;
+    if (du >= 0 && du < creditSinkBase()) {
+      feeder_[du] = 0;
+      std::uint16_t& owned = ownedVc_[ownedIndex(node, port)];
+      owned = static_cast<std::uint16_t>(owned & ~(1u << vc));
+    }
   }
 
   /// Bit per unit: currently routed (holds an output allocation).
@@ -312,30 +294,11 @@ class RouterArena {
   [[nodiscard]] std::string auditMasks(std::uint64_t freshCycle) const;
 
   // --- output-VC ownership (network ports only) -----------------------------
-  /// Owner (input-unit index local to router `id`) of an output VC, -1 free.
-  [[nodiscard]] std::int16_t outOwner(NodeId id, int port, int vc) const noexcept {
-    return static_cast<std::int16_t>(outOwner_[ownerIndex(id, port, vc)] - 1);
-  }
-  void setOutOwner(NodeId id, int port, int vc, std::int16_t owner) noexcept {
-    outOwner_[ownerIndex(id, port, vc)] = static_cast<std::int16_t>(owner + 1);
-    const std::size_t i = static_cast<std::size_t>(id) *
-                              static_cast<std::size_t>(networkPorts_) +
-                          static_cast<std::size_t>(port);
-    const auto bit = static_cast<std::uint16_t>(1u << vc);
-    if (owner < 0) {
-      ownedVc_[i] = static_cast<std::uint16_t>(ownedVc_[i] & ~bit);
-    } else {
-      ownedVc_[i] |= bit;
-    }
-  }
-  /// Bit per VC of output port `port`: set iff the VC has no owner. Mirrors
-  /// outOwner_ exactly (maintained by setOutOwner), so the VC-allocation scan
-  /// ANDs one word instead of probing owners per VC.
+  /// Bit per VC of network port `port`: set iff no routed unit of router
+  /// `id` holds the VC. Maintained by allocateRoute/releaseRoute, so the
+  /// VC-allocation scan ANDs one word instead of probing owners per VC.
   [[nodiscard]] std::uint16_t freeVcMask(NodeId id, int port) const noexcept {
-    return static_cast<std::uint16_t>(
-        allVcs_ & ~ownedVc_[static_cast<std::size_t>(id) *
-                                static_cast<std::size_t>(networkPorts_) +
-                            static_cast<std::size_t>(port)]);
+    return static_cast<std::uint16_t>(allVcs_ & ~ownedVc_[ownedIndex(id, port)]);
   }
 
   // --- round-robin switch-arbitration cursors -------------------------------
@@ -377,10 +340,9 @@ class RouterArena {
   [[nodiscard]] int slot(int u, int ringPos) const noexcept {
     return (u << strideLog2_) + ringPos;
   }
-  [[nodiscard]] std::size_t ownerIndex(NodeId id, int port, int vc) const noexcept {
-    return static_cast<std::size_t>(id) *
-               static_cast<std::size_t>(networkPorts_ * vcs_) +
-           static_cast<std::size_t>(port * vcs_ + vc);
+  [[nodiscard]] std::size_t ownedIndex(NodeId id, int port) const noexcept {
+    return static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
+           static_cast<std::size_t>(port);
   }
   [[nodiscard]] std::size_t maskIndex(NodeId node, int localUnit) const noexcept {
     return static_cast<std::size_t>(node) * static_cast<std::size_t>(occWords_) +
@@ -436,7 +398,7 @@ class RouterArena {
   int strideLog2_;   // ring stride = bit_ceil(depth); slots per unit
   int strideMask_;
   int occWords_;     // occupancy words per router
-  bool exactArrivals_;
+  bool keepArrivals_;
 
   // Every array whose empty state is all-zero bytes is a ZeroedVector, so
   // construction writes none of it (see src/util/zeroed_alloc.hpp and
@@ -446,21 +408,15 @@ class RouterArena {
   // Flit rings: slot = (unit << strideLog2) + ringPos; one packFlit word per
   // slot (msg << 2 | kind).
   ZeroedVector<std::uint32_t> flit_;
-  ZeroedVector<std::uint64_t> arrival_;  // per-slot stamps (exact mode only)
-  // Hot per-unit ring metadata, packed so one cache access serves a whole
-  // push or pop (a flit move reads and writes every field; keeping them in
-  // parallel arrays cost a separate line touch each). 24-byte stride; the
-  // u16s sit after the u64s so the record needs no internal padding. The
-  // credit sink (vcs entries past the real units, see ctor) rides along with
-  // permanently-zero sizes. All-zero is the empty record.
+  ZeroedVector<std::uint64_t> arrival_;  // per-slot stamps (keepArrivals only)
+  // Per-unit ring metadata, packed so one access serves a whole push or pop.
+  // The credit sink (vcs entries past the real units, see ctor) rides along
+  // with permanently-zero sizes. All-zero is the empty record.
   struct UnitMeta {
-    std::uint64_t frontArrival = 0;  // stamp of the front flit
-    std::uint64_t lastPush = 0;      // latest stamp (inexact mode only)
     std::uint16_t head = 0;
     std::uint16_t size = 0;
-    std::uint32_t pad_ = 0;
   };
-  static_assert(sizeof(UnitMeta) == 24);
+  static_assert(sizeof(UnitMeta) == 4);
   ZeroedVector<UnitMeta> meta_;
 
   ZeroedVector<std::uint32_t> route_;
@@ -475,8 +431,7 @@ class RouterArena {
   ZeroedVector<std::int64_t> feeder_;      // per unit: feederWord of the upstream, 0 none
   ZeroedVector<std::uint8_t> freshDirty_;  // per router: freshness changed last cycle
 
-  ZeroedVector<std::int16_t> outOwner_;   // owner + 1, 0 free
-  ZeroedVector<std::uint16_t> ownedVc_;   // per (node, port): bit vc = owned
+  ZeroedVector<std::uint16_t> ownedVc_;   // per (node, network port): bit vc = owned
   std::uint16_t allVcs_;                  // (1 << vcs) - 1
   ZeroedVector<std::uint16_t> cursor_;
 

@@ -1,7 +1,8 @@
 # CTest smoke script: run swft_sim end-to-end in CSV mode on a small faulty
 # torus and check the exit code and output shape, then check that an
 # out-of-range msg_length, rate, td, delta, nf, vcs, escape_vcs,
-# buffer_depth, max_cycles or measured, and the removed engine=sparse-mt and
+# buffer_depth, max_cycles, measured, warmup, hotspot_fraction or region, an
+# integer its field cannot hold, and the removed engine=sparse-mt and
 # sim_threads keys, are refused with exit code 2.
 #
 #   cmake -DSWFT_SIM=<path-to-binary> -P smoke_swft_sim.cmake
@@ -82,12 +83,16 @@ foreach(bad rate=-1 rate=nan rate=2 td=-5 delta=-3 nf=63)
   endif()
 endforeach()
 
-# Router-shape and run-length values and the keys of the removed sparse-mt
-# engine are refused with the bad-arguments exit code (2), not the watchdog's
-# (1), with an error naming the key. A `|` separates extra assignments a case
-# needs; the key named is that of the last one.
+# Router-shape and run-length values, integers their field cannot hold (they
+# once wrapped: vcs=4294967300 ran as V=4, measured=-1 as 4294967295) and the
+# keys of the removed sparse-mt engine are refused with the bad-arguments exit
+# code (2), not the watchdog's (1), with an error naming the key. A `|`
+# separates extra assignments a case needs; the key named is that of the last
+# one.
 foreach(bad vcs=0 vcs=17 buffer_depth=0 routing=adaptive|escape_vcs=3
-            max_cycles=0 measured=0 engine=sparse-mt sim_threads=2)
+            max_cycles=0 measured=0 engine=sparse-mt sim_threads=2
+            vcs=4294967300 nf=4294967297 td=4294967298 measured=-1 warmup=-1
+            max_cycles=-1 region=rect:4294967299x3 hotspot_fraction=1.5)
   string(REPLACE "|" ";" badArgs "${bad}")
   list(GET badArgs -1 badLast)
   string(REGEX REPLACE "=.*$" "" badKey "${badLast}")

@@ -71,8 +71,11 @@ TEST(ConfigParse, HotspotFractionRoundTrip) {
   const SimConfig cfg = parse({"traffic=hotspot", "hotspot_fraction=0.35"});
   EXPECT_EQ(cfg.pattern, TrafficPattern::Hotspot);
   EXPECT_DOUBLE_EQ(cfg.hotspotFraction, 0.35);
-  EXPECT_THROW(parse({"hotspot_fraction=1.5"}), std::invalid_argument);
-  EXPECT_THROW(parse({"hotspot_fraction=-0.1"}), std::invalid_argument);
+  EXPECT_NO_THROW(validate(cfg));
+  // The range check lives in validate(), with every other range check.
+  EXPECT_THROW(validate(parse({"hotspot_fraction=1.5"})), std::invalid_argument);
+  EXPECT_THROW(validate(parse({"hotspot_fraction=-0.1"})), std::invalid_argument);
+  EXPECT_THROW(validate(parse({"hotspot_fraction=nan"})), std::invalid_argument);
   EXPECT_THROW(parse({"hotspot_fraction=lots"}), std::invalid_argument);
 }
 
@@ -97,6 +100,43 @@ TEST(ConfigParse, EngineAndPhaseTimers) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
     }
   }
+}
+
+// Each integer key parses straight into its field's type: a value the field
+// cannot hold is refused with the key named, never narrowed or wrapped
+// (vcs=4294967300 once ran as V=4, measured=-1 as 4294967295).
+TEST(ConfigParse, IntegerKeysRefuseValuesTheirFieldCannotHold) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"vcs=4294967300", "vcs"},
+      {"nf=4294967297", "nf"},
+      {"td=4294967298", "td"},
+      {"k=-4294967288", "k"},
+      {"measured=-1", "measured"},
+      {"warmup=-1", "warmup"},
+      {"max_cycles=-1", "max_cycles"},
+      {"max_cycles=18446744073709551616", "max_cycles"},
+      {"seed=-1", "seed"},
+      {"phase_timers=4294967296", "phase_timers"},
+      {"region=rect:4294967299x3", "region"},
+      {"region=rect:3x3@65537,1", "region anchor"},
+  };
+  for (const auto& [arg, key] : bad) {
+    try {
+      (void)parse({"k=8", arg});
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest value each type holds still parses exactly.
+  const SimConfig cfg = parse({"warmup=4294967295", "max_cycles=18446744073709551615",
+                               "seed=18446744073709551615", "td=2147483647"});
+  EXPECT_EQ(cfg.warmupMessages, 4294967295u);
+  EXPECT_EQ(cfg.maxCycles, 18446744073709551615u);
+  EXPECT_EQ(cfg.seed, 18446744073709551615u);
+  EXPECT_EQ(cfg.routerDecisionTime, 2147483647);
 }
 
 TEST(ConfigParse, RegionWithAnchor) {

@@ -31,12 +31,16 @@ struct EngineCase {
   int randomFaults;
   double rate;
   bool fig7Shape;
+  int td = 0;  // router decision time Td; > 0 selects the short-message shape
 };
 
 // Eight corners on an 8-ary 2-cube with V = 4 and M = 16 (20 input units per
 // router, a one-word row), plus the paper's fig7 shape: an 8-ary 3-cube with
 // V = 10 and M = 32, whose 70-unit routers run the link pass on a two-word
-// row, at fig7's λ = 0.01 with enough messages to load the network.
+// row, at fig7's λ = 0.01 with enough messages to load the network. The
+// one Td > 0 case uses two-flit messages in four-flit buffers near the knee,
+// so headers often queue behind the previous message's tail: their
+// routing-delay stamp is then read from the middle of the stamp ring.
 const EngineCase kCases[] = {
     {"uniform_det_faultfree", TrafficPattern::Uniform, RoutingMode::Deterministic, 0,
      0.006, false},
@@ -57,6 +61,8 @@ const EngineCase kCases[] = {
     {"fig7_det_faulty", TrafficPattern::Uniform, RoutingMode::Deterministic, 6, 0.01,
      true},
     {"fig7_adp_faulty", TrafficPattern::Uniform, RoutingMode::Adaptive, 6, 0.01, true},
+    {"td2_det_queued_headers", TrafficPattern::Uniform, RoutingMode::Deterministic, 0,
+     0.25, false, 2},
 };
 
 SimConfig caseConfig(const EngineCase& c) {
@@ -64,14 +70,15 @@ SimConfig caseConfig(const EngineCase& c) {
   cfg.radix = 8;
   cfg.dims = c.fig7Shape ? 3 : 2;
   cfg.vcs = c.fig7Shape ? 10 : 4;
-  cfg.messageLength = c.fig7Shape ? 32 : 16;
+  cfg.messageLength = c.fig7Shape ? 32 : c.td > 0 ? 2 : 16;
+  cfg.routerDecisionTime = c.td;
   cfg.pattern = c.pattern;
   cfg.routing = c.routing;
   cfg.faults.randomNodes = c.randomFaults;
   cfg.injectionRate = c.rate;
   cfg.reinjectDelay = c.randomFaults > 0 ? 20 : 0;  // exercise readyCycle
   cfg.warmupMessages = 200;
-  cfg.measuredMessages = c.fig7Shape ? 3000 : 700;
+  cfg.measuredMessages = c.fig7Shape || c.td > 0 ? 3000 : 700;
   cfg.maxCycles = 400'000;
   cfg.seed = 7;
   return cfg;
@@ -133,7 +140,9 @@ INSTANTIATE_TEST_SUITE_P(Matrix, EngineEquivalence, ::testing::ValuesIn(kCases),
 // that PR — when the batched link pass landed, so every matrix corner is now
 // pinned, not just compared engine-to-engine. The two fig7 rows were recorded
 // from the dense oracle (the sparse engine agreed) before the link pass
-// covered multi-word router rows. Any change to these numbers
+// covered multi-word router rows. The Td row was recorded from the dense
+// oracle when the sparse engine's per-unit stamp copies were removed. Any
+// change to these numbers
 // means the engine's observable behaviour drifted — deliberate changes must
 // re-record and justify in the commit message.
 struct GoldenRecord {
@@ -159,6 +168,7 @@ const GoldenRecord kGolden[] = {
     {"transpose_adp_faulty",    3849, 904, 900, 700, 157, 34.092857142857142, 5.1085714285714285},
     {"fig7_det_faulty",          784, 3950, 3202, 3003, 228, 110.41258741258741, 6.0379620379620356},
     {"fig7_adp_faulty",          772, 3899, 3203, 3003,  45, 116.14352314352305, 5.9597069597069678},
+    {"td2_det_queued_headers",   217, 3476, 3207, 3007,   0, 16.17924842035254,  4.010309278350519},
 };
 // clang-format on
 

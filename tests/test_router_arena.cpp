@@ -32,12 +32,20 @@ TEST(RouterArena, FifoOrderAndArrivalStamps) {
   EXPECT_EQ(a.flitAt(u, 2).kind, FlitKind::Tail);
   EXPECT_EQ(a.pop(2, u).kind, FlitKind::Header);
   EXPECT_EQ(a.frontArrival(u), 101u);
-  // Ring wrap: the freed slot is reusable immediately.
+  // The freed slot is reusable immediately, and the front stamp follows the
+  // ring head through pops and across the wrap (stride 4: the fifth push
+  // lands in slot 0). A header queued behind a tail keeps its own stamp,
+  // not the newest push's.
   a.push(2, u, Flit{11, FlitKind::Header}, 103);
   EXPECT_TRUE(a.full(u));
   EXPECT_EQ(a.pop(2, u).kind, FlitKind::Body);
+  EXPECT_EQ(a.frontArrival(u), 102u);
+  a.push(2, u, Flit{11, FlitKind::Tail}, 104);
   EXPECT_EQ(a.pop(2, u).kind, FlitKind::Tail);
+  EXPECT_EQ(a.frontArrival(u), 103u) << "header behind a tail";
   EXPECT_EQ(a.pop(2, u).msg, 11u);
+  EXPECT_EQ(a.frontArrival(u), 104u) << "stamp read across the ring wrap";
+  EXPECT_EQ(a.pop(2, u).kind, FlitKind::Tail);
   EXPECT_TRUE(a.empty(u));
 }
 
@@ -112,7 +120,7 @@ TEST(RouterArena, CreditMaskTracksDepthCrossings) {
   EXPECT_TRUE(a.creditOkBit(du)) << "one slot of two still free";
   a.push(2, du, Flit{1, FlitKind::Body}, 0);
   EXPECT_FALSE(a.creditOkBit(du)) << "crossed into full";
-  a.pop(2, du, 1);
+  a.pop(2, du);
   EXPECT_TRUE(a.creditOkBit(du)) << "crossed back out of full";
   // The credit sink row past the real units is permanently creditable.
   for (int vc = 0; vc < a.vcs(); ++vc) {
@@ -129,7 +137,7 @@ TEST(RouterArena, DepthCrossingFlipsFeederDownOkBit) {
   a.push(3, du, Flit{7, FlitKind::Header}, 0);
   EXPECT_FALSE(a.downOkWords(0)[0] & (1ULL << local))
       << "downstream full: flip reaches the feeder's row";
-  a.pop(3, du, 1);
+  a.pop(3, du);
   EXPECT_TRUE(a.downOkWords(0)[0] & (1ULL << local));
   a.releaseRoute(0, local);
   EXPECT_EQ(a.auditMasks(0), "");
@@ -152,10 +160,10 @@ TEST(RouterArena, FreshnessMaturesAtCycleBoundary) {
   // next sweep. The surviving front stays fresh (it arrived at 6 < 7), and
   // even the pop to empty leaves a stale set bit behind...
   a.push(1, u, Flit{1, FlitKind::Tail}, 6);
-  a.pop(1, u, 7);
+  a.pop(1, u);
   EXPECT_TRUE(a.freshWords(1)[0] & (1ULL << local))
       << "survivor arrived at 6 < 7";
-  a.pop(1, u, 7);
+  a.pop(1, u);
   EXPECT_TRUE(a.freshWords(1)[0] & (1ULL << local))
       << "pop must not touch the boundary snapshot";
   // ...which the sweep reconciles against the (now empty) occupancy word.
@@ -164,20 +172,29 @@ TEST(RouterArena, FreshnessMaturesAtCycleBoundary) {
   EXPECT_EQ(a.freshWords(1)[0], 0u) << "empty router has no fresh fronts";
 }
 
-TEST(RouterArena, OutputOwnershipLifecycle) {
-  RouterArena a = smallArena();
-  EXPECT_EQ(a.outOwner(1, 2, 1), -1);
+TEST(RouterArena, RouteAllocationOwnsTheOutputVc) {
+  RouterArena a = smallArena();  // ports 0..3 are network ports, 4 ejects
   EXPECT_EQ(a.freeVcMask(1, 2), 0xF) << "a fresh arena has every VC free";
-  a.setOutOwner(1, 2, 1, 7);
-  EXPECT_EQ(a.outOwner(1, 2, 1), 7);
+  // A network-port route takes its output VC out of the free mask. Local
+  // unit 0 is an owner like any other.
+  a.allocateRoute(1, 0, 2, 1, a.unitIndex(2, 3, 1));
   EXPECT_EQ(a.freeVcMask(1, 2), 0xD);
-  EXPECT_EQ(a.outOwner(1, 2, 0), -1) << "other VCs unaffected";
-  EXPECT_EQ(a.outOwner(2, 2, 1), -1) << "other routers unaffected";
-  a.setOutOwner(1, 2, 1, 0);
-  EXPECT_EQ(a.outOwner(1, 2, 1), 0) << "local unit 0 is an owner, not 'free'";
-  a.setOutOwner(1, 2, 1, -1);
-  EXPECT_EQ(a.outOwner(1, 2, 1), -1);
+  EXPECT_EQ(a.freeVcMask(1, 3), 0xF) << "other ports unaffected";
+  EXPECT_EQ(a.freeVcMask(2, 2), 0xF) << "other routers unaffected";
+  EXPECT_EQ(a.auditMasks(0), "");
+  // An ejection-port route holds no network VC.
+  const int ejecting = 4 * 4 + 0;  // injection unit, vc 0
+  a.allocateRoute(1, ejecting, 4, 0, a.creditSinkBase());
+  for (int p = 0; p < 4; ++p) {
+    EXPECT_EQ(a.freeVcMask(1, p), p == 2 ? 0xD : 0xF) << "port " << p;
+  }
+  EXPECT_EQ(a.auditMasks(0), "");
+  // Release gives the VC back.
+  a.releaseRoute(1, 0);
   EXPECT_EQ(a.freeVcMask(1, 2), 0xF);
+  EXPECT_EQ(a.auditMasks(0), "");
+  a.releaseRoute(1, ejecting);
+  EXPECT_EQ(a.auditMasks(0), "");
 }
 
 TEST(RouterArena, PackedSlotsRoundTripEveryKindAndTheLargestId) {
@@ -198,14 +215,14 @@ TEST(RouterArena, PackedSlotsRoundTripEveryKindAndTheLargestId) {
     for (const Flit& f : flits) {
       EXPECT_EQ(a.front(u).msg, f.msg);
       EXPECT_EQ(a.front(u).kind, f.kind);
-      const Flit got = a.pop(3, u, 2);
+      const Flit got = a.pop(3, u);
       EXPECT_EQ(got.msg, f.msg);
       EXPECT_EQ(got.kind, f.kind);
       EXPECT_EQ(got.isHeader(), f.isHeader());
       EXPECT_EQ(got.isTail(), f.isTail());
     }
     a.push(3, u, Flit{7, FlitKind::Body}, 2);  // offset the head for the next round
-    a.pop(3, u, 3);
+    a.pop(3, u);
     a.matureFreshness();
     EXPECT_EQ(a.auditMasks(3), "");
   }
